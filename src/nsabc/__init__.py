@@ -1,6 +1,6 @@
 """NSABC/w: a width-scalable, tweakable block cipher over quasi-group word
 multiplication, with a bit-exact reference path and an accelerated affine
-path (numba-jitted batch kernels, pure-numpy fallback via NSABC_BACKEND)."""
+path (one vectorized numpy batch kernel over the derived round graph)."""
 
 from .cipher import (
     Block,
@@ -23,7 +23,6 @@ from .fastpath import (
     affine_gbox,
     crypt_fast,
     crypt_fast_batch,
-    crypt_fast_pair,
     icrypt_fast,
     icrypt_fast_batch,
     invert_affine,
@@ -60,7 +59,6 @@ __all__ = [
     "crypt",
     "crypt_fast",
     "crypt_fast_batch",
-    "crypt_fast_pair",
     "decrypt",
     "decrypt_blocks",
     "decrypt_bytes",

@@ -1,55 +1,19 @@
-"""Vectorized numeric kernels with a numba fast path and a numpy fallback.
+"""Vectorized numpy kernels: the word algebra and the batch block transform.
 
 All kernels work on ``uint64`` arrays regardless of the cipher width: values
 are kept masked to w bits and every operation is a ring operation, so doing
 the arithmetic mod 2**64 and masking afterwards is exact for every supported
 width (and at w=64 the masking is the native wraparound itself).
-
-Backend selection: set ``NSABC_BACKEND=numpy`` or ``NSABC_BACKEND=numba`` in
-the environment; by default numba is used when importable and the pure-numpy
-path otherwise.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        return decorator
-
-
-_ENV_FLAG = "NSABC_BACKEND"
-BACKENDS = ("numba", "numpy")
-
-
-def available_backends() -> tuple[str, ...]:
-    return BACKENDS if HAS_NUMBA else ("numpy",)
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Pick the kernel backend: explicit argument, else env flag, else best."""
-    if name is None:
-        name = os.environ.get(_ENV_FLAG)
-    if name is None:
-        return "numba" if HAS_NUMBA else "numpy"
-    name = name.lower()
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}, expected one of {BACKENDS}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return name
+def resolve_backend() -> str:
+    """Name of the batch kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 def _u64(values) -> np.ndarray:
@@ -150,83 +114,37 @@ def v_affine_gbox(x, t, m0, m1, n0, n1, w: int):
 # batch block transform
 #
 # x: (nblocks, 4) uint64, t: (nblocks, 4) uint64, m/n: (64,) uint64.
-# xterm_masks/gterm_masks give, per round, which plaintext words and which
-# earlier G outputs XOR together into that round's G input; yterm_masks give
-# the G outputs assembled into each ciphertext word.  Rounds only ever depend
-# on lower-numbered rounds, so evaluating k = 0..31 in order is a valid
+# text_terms[k] and g_terms[k] give the plaintext words and the earlier G
+# outputs that XOR together into round k's G input; out_terms[i] gives the G
+# outputs assembled into ciphertext word i.  Rounds only ever depend on
+# lower-numbered rounds, so evaluating k = 0..31 in order is a valid
 # topological order of the dependency graph.
 
 
-def _crypt_batch_numpy(x, t, m, n, xterm_masks, gterm_masks, yterm_masks, w: int):
-    nblocks = x.shape[0]
-    half = np.uint64(w >> 1)
-    msk = v_mask(w)
-    g = np.empty((32, nblocks), dtype=np.uint64)
-    acc = np.empty(nblocks, dtype=np.uint64)
-    for k in range(32):
-        acc[:] = 0
-        xm = int(xterm_masks[k])
-        for i in range(4):
-            if (xm >> i) & 1:
-                acc ^= x[:, i]
-        gm = int(gterm_masks[k])
-        for j in range(k):
-            if (gm >> j) & 1:
-                acc ^= g[j]
-        v = (acc * m[2 * k] + n[2 * k]) & msk
-        v = ((v << half) | (v >> half)) & msk
-        v ^= t[:, k & 3]
-        v = (v * m[2 * k + 1] + n[2 * k + 1]) & msk
-        g[k] = ((v << half) | (v >> half)) & msk
-    y = np.zeros((nblocks, 4), dtype=np.uint64)
-    for i in range(4):
-        ym = int(yterm_masks[i])
-        for j in range(32):
-            if (ym >> j) & 1:
-                y[:, i] ^= g[j]
-    return y
-
-
-@njit(cache=True)
-def _crypt_batch_numba(x, t, m, n, xterm_masks, gterm_masks, yterm_masks, w):  # pragma: no cover - jitted
-    nblocks = x.shape[0]
-    half = np.uint64(w >> 1)
-    msk = np.uint64(0xFFFFFFFFFFFFFFFF) >> np.uint64(64 - w)
-    one = np.uint64(1)
-    y = np.empty((nblocks, 4), dtype=np.uint64)
-    g = np.empty(32, dtype=np.uint64)
-    for b in range(nblocks):
-        for k in range(32):
-            acc = np.uint64(0)
-            xm = xterm_masks[k]
-            for i in range(4):
-                if (xm >> np.uint64(i)) & one:
-                    acc ^= x[b, i]
-            gm = gterm_masks[k]
-            for j in range(k):
-                if (gm >> np.uint64(j)) & one:
-                    acc ^= g[j]
-            v = (acc * m[2 * k] + n[2 * k]) & msk
-            v = ((v << half) | (v >> half)) & msk
-            v ^= t[b, k & 3]
-            v = (v * m[2 * k + 1] + n[2 * k + 1]) & msk
-            g[k] = ((v << half) | (v >> half)) & msk
-        for i in range(4):
-            acc = np.uint64(0)
-            ym = yterm_masks[i]
-            for j in range(32):
-                if (ym >> np.uint64(j)) & one:
-                    acc ^= g[j]
-            y[b, i] = acc
-    return y
-
-
-def crypt_batch(x, t, m, n, xterm_masks, gterm_masks, yterm_masks, w: int, backend: str | None = None):
+def crypt_batch(x, t, m, n, text_terms, g_terms, out_terms, w: int) -> np.ndarray:
     """Run the 32-round transform over a batch of blocks; returns (nblocks, 4)."""
     x = np.ascontiguousarray(x, dtype=np.uint64)
     t = np.ascontiguousarray(t, dtype=np.uint64)
     m = np.ascontiguousarray(m, dtype=np.uint64)
     n = np.ascontiguousarray(n, dtype=np.uint64)
-    if resolve_backend(backend) == "numba":
-        return _crypt_batch_numba(x, t, m, n, xterm_masks, gterm_masks, yterm_masks, w)
-    return _crypt_batch_numpy(x, t, m, n, xterm_masks, gterm_masks, yterm_masks, w)
+    half = np.uint64(w >> 1)
+    msk = v_mask(w)
+    # XORs accumulate in place into preallocated buffers: fresh temporaries
+    # per XOR raise the process's peak memory on large batches
+    g = np.empty((32, x.shape[0]), dtype=np.uint64)
+    acc = np.empty(x.shape[0], dtype=np.uint64)
+    for k in range(32):
+        terms = [x[:, i] for i in text_terms[k]] + [g[j] for j in g_terms[k]]
+        np.copyto(acc, terms[0])
+        for term in terms[1:]:
+            acc ^= term
+        v = (acc * m[2 * k] + n[2 * k]) & msk
+        v = ((v << half) | (v >> half)) & msk
+        v ^= t[:, k & 3]
+        v = (v * m[2 * k + 1] + n[2 * k + 1]) & msk
+        g[k] = ((v << half) | (v >> half)) & msk
+    y = np.zeros((x.shape[0], 4), dtype=np.uint64)
+    for i, terms in enumerate(out_terms):
+        for j in terms:
+            y[:, i] ^= g[j]
+    return y

@@ -110,8 +110,7 @@ def gbox_identity(w: int = 16, samples: int = 8, seed: int | None = None) -> Ana
     return report
 
 
-def avalanche(w: int = 16, samples: int = 10_000, seed: int | None = None,
-              backend: str | None = None) -> AnalysisReport:
+def avalanche(w: int = 16, samples: int = 10_000, seed: int | None = None) -> AnalysisReport:
     """Estimate per-bit flip probabilities of the full cipher.
 
     Returns the mean/min/max over the (4w x 4w) matrix of probabilities that
@@ -135,7 +134,7 @@ def avalanche(w: int = 16, samples: int = 10_000, seed: int | None = None,
         u = rng.randrange(1 << w)
         x = np.array([rng.randrange(1 << w) for _ in range(4)], dtype=np.uint64)
         xs = np.vstack((x[None, :], x[None, :] ^ flip_words))
-        ys = crypt_fast_batch(xs, np.array(t, dtype=np.uint64), affine_expand(z, u, w), backend)
+        ys = crypt_fast_batch(xs, np.array(t, dtype=np.uint64), affine_expand(z, u, w))
         diffs[s] = ys[1:] ^ ys[0]
 
     flips = np.empty((bits, bits), dtype=np.int64)

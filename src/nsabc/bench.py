@@ -4,10 +4,9 @@ Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
 numbers can be eyeballed against what hand-optimized x86-64 assembly of this
-cipher reportedly reaches (about 16 cpb at w=32, 12 cpb at w=64, 9 cpb with
-two interleaved blocks); those figures are hardware-bound context, not a
-target this build enforces.  The one enforced expectation is fast path >=
-reference on the same machine.
+cipher reportedly reaches (about 16 cpb at w=32, 12 cpb at w=64); those
+figures are hardware-bound context, not a target this build enforces.  The
+one enforced expectation is fast path >= reference on the same machine.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import available_backends
 from .cipher import crypt
-from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, crypt_fast_pair
+from .fastpath import affine_expand, crypt_fast, crypt_fast_batch
 from .schedules import key_expand, tweak_expand, unit_expand
 from .words import check_cipher_width
 
@@ -28,8 +26,7 @@ DEFAULT_WIDTHS = (32, 64)
 BATCH_BLOCKS = 4096
 
 HAND_TUNED_CPB_CONTEXT = (
-    "hand-optimized x86-64 context figures: ~16 cpb (w=32), ~12 cpb (w=64), "
-    "~9 cpb (w=64, two interleaved blocks)"
+    "hand-optimized x86-64 context figures: ~16 cpb (w=32), ~12 cpb (w=64)"
 )
 
 
@@ -69,7 +66,7 @@ def estimate_cpu_hz() -> float | None:
 
 def _measure(fn, seconds: float, blocks_per_call: int) -> tuple[int, float]:
     """Call fn repeatedly for at least ``seconds``; return (blocks, elapsed)."""
-    fn()  # warm up (JIT compilation, caches)
+    fn()  # warm up (caches)
     total = 0
     start = time.perf_counter()
     while True:
@@ -81,7 +78,7 @@ def _measure(fn, seconds: float, blocks_per_call: int) -> tuple[int, float]:
 
 
 def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
-    """Benchmark every available path at one width."""
+    """Benchmark the reference, scalar fast and batch paths at one width."""
     check_cipher_width(w)
     if seconds <= 0:
         raise ValueError("benchmark duration must be positive")
@@ -91,7 +88,6 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
     t = tuple(rng.randrange(top) for _ in range(4))
     u = rng.randrange(top)
     x = tuple(rng.randrange(top) for _ in range(4))
-    x2 = tuple(rng.randrange(top) for _ in range(4))
 
     ks, ls, cs = key_expand(z, w), unit_expand(u, w), tweak_expand(t, w)
     schedule = affine_expand(z, u, w)
@@ -99,18 +95,12 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
                      dtype=np.uint64)
     t_arr = np.array(t, dtype=np.uint64)
 
-    results = [
+    return [
         BenchResult("reference", w, *_measure(lambda: crypt(x, ks, ls, cs, w), seconds, 1)),
         BenchResult("fast", w, *_measure(lambda: crypt_fast(x, t, schedule), seconds, 1)),
-        BenchResult("fast-pair", w,
-                    *_measure(lambda: crypt_fast_pair(x, x2, t, t, schedule, schedule), seconds, 2)),
+        BenchResult("fast-batch", w,
+                    *_measure(lambda: crypt_fast_batch(batch, t_arr, schedule), seconds, BATCH_BLOCKS)),
     ]
-    for backend in available_backends():
-        results.append(BenchResult(
-            f"fast-batch[{backend}]", w,
-            *_measure(lambda: crypt_fast_batch(batch, t_arr, schedule, backend),
-                      seconds, BATCH_BLOCKS)))
-    return results
 
 
 def render_report(results: list[BenchResult], hz: float | None) -> str:

@@ -81,6 +81,20 @@ def gbox(x: int, k0: int, k1: int, l0: int, l1: int, c0: int, w: int) -> int:
     return swap_halves(boxdot_e(x, k1, l1, w), w)
 
 
+def round_update(x0, x1, x2, x3, g, k: int):
+    """Text register after round k, whose G output (of x0) is g.
+
+    A type-A round XORs g into x1, a type-B round XORs x0 into x3; both then
+    put g in x0's place and rotate the register one word down.  Only ``^`` is
+    applied to the words, so the same relation runs on XOR-sets of symbols
+    (see ``fastpath``).
+    """
+    # (k & 8) == 0 selects type A exactly on passes 1 and 3, i.e. k in [0,8) u [16,24)
+    if k & 8 == 0:
+        return x1 ^ g, x2, x3, g
+    return x1, x2, x3 ^ x0, g
+
+
 def crypt(block, key_schedule, unit_schedule, tweak_schedule, w: int, trace=None) -> Block:
     """32-round core transform of a block under expanded schedules.
 
@@ -99,20 +113,10 @@ def crypt(block, key_schedule, unit_schedule, tweak_schedule, w: int, trace=None
     x0, x1, x2, x3 = block
     K, L, C = key_schedule, unit_schedule, tweak_schedule
     for k in range(32):
-        # (k & 8) == 0 selects type A exactly on passes 1 and 3, i.e. k in [0,8) u [16,24)
-        if k & 8 == 0:
-            g = gbox(x0, K[2 * k], K[2 * k + 1], L[2 * k], L[2 * k + 1], C[k], w)
-            if trace is not None:
-                trace.append((k, (x0, x1, x2, x3), g))
-            x0 = g
-            x1 ^= x0
-        else:
-            g = gbox(x0, K[2 * k], K[2 * k + 1], L[2 * k], L[2 * k + 1], C[k], w)
-            if trace is not None:
-                trace.append((k, (x0, x1, x2, x3), g))
-            x3 ^= x0
-            x0 = g
-        x0, x1, x2, x3 = x1, x2, x3, x0
+        g = gbox(x0, K[2 * k], K[2 * k + 1], L[2 * k], L[2 * k + 1], C[k], w)
+        if trace is not None:
+            trace.append((k, (x0, x1, x2, x3), g))
+        x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
     if trace is not None:
         trace.append((32, (x0, x1, x2, x3), None))
     return (x0, x1, x2, x3)

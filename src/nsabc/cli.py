@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import string
 import sys
 
 from . import analysis, bench
@@ -52,10 +53,10 @@ def _parse_hex(text: str, bits: int, what: str) -> int:
     body = text[2:] if text[:2].lower() == "0x" else text
     if len(body) != digits:
         raise UsageError(f"{what} must be exactly {digits} hex digits ({bits} bits), got {len(body)}")
-    try:
-        return int(body, 16)
-    except ValueError:
-        raise UsageError(f"{what} is not valid hex: {text!r}") from None
+    # the value is key material, so the message never quotes it
+    if any(c not in string.hexdigits for c in body):
+        raise UsageError(f"{what} must contain only the hex digits 0-9 and a-f")
+    return int(body, 16)
 
 
 def _key_material(args, w: int):

@@ -10,75 +10,52 @@ swaps and the tweak XOR.
 Because each round's G input is an XOR of plaintext words and earlier G
 outputs, the 32 rounds form a dependency graph that can be evaluated in 20
 steps, half of them running two or three independent G evaluations.  The
-graph is kept here as data - per round the contributing plaintext words and
-earlier rounds, plus the step grouping and the XOR combinations assembling
-the ciphertext words - so all widths share a single definition.
+graph is derived at import by running the cipher's round relation on XOR-sets
+of symbols - per round the contributing plaintext words and earlier rounds,
+the step grouping, and the XOR combinations assembling the ciphertext words -
+so all widths share a single definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
 from . import _kernels
-from .cipher import check_block, reverse_words, swap_all_halves
+from .cipher import check_block, reverse_words, round_update, swap_all_halves
 from .schedules import check_key, check_tweak, check_unit_key, key_expand, unit_expand
 from .words import check_cipher_width, mod_inverse, swap_halves
 
-# Per round k: indices of plaintext words, then indices of earlier rounds,
-# whose G outputs XOR together into round k's G input.
-ROUND_TEXT_TERMS = (
-    (0,), (1,), (2,), (3,),
-    (), (), (), (),
-    (), (), (), (),
-    (), (), (), (),
-    (), (), (), (),
-    (), (), (), (),
-    (), (), (), (),
-    (), (), (), (),
-)
 
-ROUND_G_TERMS = (
-    (), (0,), (1,), (2,),
-    (0, 3), (1, 4), (2, 5), (3, 6),
-    (4, 7), (5,), (6,), (4,),
-    (5, 8), (6, 9), (4, 10), (5, 8, 11),
-    (6, 9, 12), (4, 10, 13, 16), (5, 8, 11, 14, 17), (15, 18),
-    (16, 19), (17, 20), (18, 21), (19, 22),
-    (20, 23), (21,), (22,), (20,),
-    (21, 24), (22, 25), (20, 26), (21, 24, 27),
-)
+def _derive_round_graph():
+    """Run ``round_update`` over symbols ("x", i) and ("g", k) for 32 rounds.
 
-# Rounds grouped into the 20 evaluation steps; every round in a step depends
-# only on rounds from earlier steps, so the members of a step are independent.
-PARALLEL_STEPS = (
-    (0,), (1,), (2,), (3,), (4,),
-    (5, 11), (6, 9), (7, 10, 13), (8, 14), (12, 15),
-    (16,), (17,), (18,), (19,), (20,),
-    (21, 27), (22, 25), (23, 26, 29), (24, 30), (28, 31),
-)
-
-# Ciphertext word i is the XOR of these rounds' G outputs.
-OUTPUT_G_TERMS = ((22, 25, 28), (20, 26, 29), (21, 24, 27, 30), (31,))
-
-
-def _terms_to_masks():
-    xmasks = np.zeros(32, dtype=np.uint64)
-    gmasks = np.zeros(32, dtype=np.uint64)
-    ymasks = np.zeros(4, dtype=np.uint64)
+    Each register holds the set of symbols XORed into it: plaintext word i or
+    the G output of round k.  Round k's G input is register x0 at its start.
+    A round's step is one past the latest step among the rounds it reads.
+    """
+    regs = tuple(frozenset({("x", i)}) for i in range(4))
+    text_terms, g_terms, level = [], [], []
     for k in range(32):
-        for i in ROUND_TEXT_TERMS[k]:
-            xmasks[k] |= np.uint64(1 << i)
-        for j in ROUND_G_TERMS[k]:
-            gmasks[k] |= np.uint64(1 << j)
-    for i in range(4):
-        for j in OUTPUT_G_TERMS[i]:
-            ymasks[i] |= np.uint64(1 << j)
-    return xmasks, gmasks, ymasks
+        text_terms.append(tuple(sorted(i for kind, i in regs[0] if kind == "x")))
+        g_terms.append(tuple(sorted(j for kind, j in regs[0] if kind == "g")))
+        level.append(1 + max((level[j] for j in g_terms[k]), default=-1))
+        regs = round_update(*regs, frozenset({("g", k)}), k)
+    assert all(kind == "g" for reg in regs for kind, _ in reg), "ciphertext must not hold plaintext terms"
+    out_terms = tuple(tuple(sorted(j for _, j in reg)) for reg in regs)
+    steps = tuple(tuple(k for k in range(32) if level[k] == s) for s in range(max(level) + 1))
+    return tuple(text_terms), tuple(g_terms), steps, out_terms
 
 
-_XTERM_MASKS, _GTERM_MASKS, _YTERM_MASKS = _terms_to_masks()
+# ROUND_TEXT_TERMS[k] / ROUND_G_TERMS[k]: plaintext words / earlier rounds whose
+# G outputs XOR together into round k's G input.  PARALLEL_STEPS: the rounds
+# grouped into evaluation steps; every round in a step depends only on rounds
+# from earlier steps, so the members of a step are independent.
+# OUTPUT_G_TERMS[i]: the rounds whose G outputs XOR into ciphertext word i.
+ROUND_TEXT_TERMS, ROUND_G_TERMS, PARALLEL_STEPS, OUTPUT_G_TERMS = _derive_round_graph()
 
 
 @dataclass(frozen=True)
@@ -136,51 +113,11 @@ def _fast_g_values(block, tweak, schedule: AffineSchedule) -> list[int]:
     return g
 
 
-def _assemble_output(g) -> tuple[int, int, int, int]:
-    y = []
-    for terms in OUTPUT_G_TERMS:
-        acc = 0
-        for j in terms:
-            acc ^= g[j]
-        y.append(acc)
-    return tuple(y)
-
-
 def crypt_fast(block, tweak, schedule: AffineSchedule):
     """Optimized-path equivalent of the reference 32-round transform."""
     w = schedule.width
-    x = check_block(block, w)
-    t = check_tweak(tweak, w)
-    return _assemble_output(_fast_g_values(x, t, schedule))
-
-
-def crypt_fast_pair(block_a, block_b, tweak_a, tweak_b, schedule_a: AffineSchedule,
-                    schedule_b: AffineSchedule):
-    """Encrypt two independent blocks with their step sequences interleaved.
-
-    The two instances may use different tweaks and keys but must share one
-    width.  The contract is correctness (identical results to two separate
-    calls); the interleaving mirrors how the step schedule admits running a
-    second instance a few steps behind the first.
-    """
-    if schedule_a.width != schedule_b.width:
-        raise ValueError("paired blocks must use one word width")
-    w = schedule_a.width
-    xa, xb = check_block(block_a, w), check_block(block_b, w)
-    ta, tb = check_tweak(tweak_a, w), check_tweak(tweak_b, w)
-    ga = [0] * 32
-    gb = [0] * 32
-    for step in PARALLEL_STEPS:
-        for g, x, t, s in ((ga, xa, ta, schedule_a), (gb, xb, tb, schedule_b)):
-            for k in step:
-                acc = 0
-                for i in ROUND_TEXT_TERMS[k]:
-                    acc ^= x[i]
-                for j in ROUND_G_TERMS[k]:
-                    acc ^= g[j]
-                g[k] = affine_gbox(acc, t[k & 3], s.m[2 * k], s.m[2 * k + 1],
-                                   s.n[2 * k], s.n[2 * k + 1], w)
-    return _assemble_output(ga), _assemble_output(gb)
+    g = _fast_g_values(check_block(block, w), check_tweak(tweak, w), schedule)
+    return tuple(reduce(xor, [g[j] for j in terms]) for terms in OUTPUT_G_TERMS)
 
 
 def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
@@ -214,47 +151,65 @@ def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
 
 
 # ---------------------------------------------------------------------------
-# batch entry points (hot path; numba kernel with numpy fallback)
+# batch entry points (hot path)
 
 
-def _as_block_array(blocks) -> np.ndarray:
-    arr = np.asarray(blocks, dtype=np.uint64)
-    if arr.ndim == 1 and arr.shape == (4,):
+def _words(values, w: int, what: str) -> np.ndarray:
+    """``values`` as a uint64 array, rejecting anything but w-bit integer words."""
+    # Sequences go through an object array: numpy would turn Python ints
+    # >= 2**63 into floats, and the check must see the exact values.
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    top = 1 << w
+    if arr.dtype == object:
+        ok = all(isinstance(v, (int, np.integer)) and 0 <= v < top for v in arr.flat)
+    else:
+        ok = arr.dtype.kind in "iu" and (arr.size == 0 or (int(arr.min()) >= 0 and int(arr.max()) < top))
+    if not ok:
+        raise ValueError(f"{what} must be integers in [0, 2**{w})")
+    return arr.astype(np.uint64, copy=False)
+
+
+def _as_block_array(blocks, w: int) -> np.ndarray:
+    arr = _words(blocks, w, "block words")
+    if arr.shape == (4,):
         arr = arr.reshape(1, 4)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"expected an (nblocks, 4) array of words, got shape {arr.shape}")
     return arr
 
 
-def _tweak_rows(tweaks, nblocks: int) -> np.ndarray:
-    arr = np.asarray(tweaks, dtype=np.uint64)
-    if arr.ndim == 1 and arr.shape == (4,):
+def _tweak_rows(tweaks, nblocks: int, w: int) -> np.ndarray:
+    arr = _words(tweaks, w, "tweak words")
+    if arr.shape == (4,):
         arr = np.broadcast_to(arr, (nblocks, 4))
     if arr.shape != (nblocks, 4):
         raise ValueError(f"expected tweak rows of shape ({nblocks}, 4), got {arr.shape}")
     return arr
 
 
-def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule, backend: str | None = None) -> np.ndarray:
+def _crypt_batch(x, t, schedule: AffineSchedule) -> np.ndarray:
+    return _kernels.crypt_batch(x, t, *schedule.as_arrays(), ROUND_TEXT_TERMS, ROUND_G_TERMS,
+                                OUTPUT_G_TERMS, schedule.width)
+
+
+def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     """Encrypt many blocks under one schedule; tweaks may vary per block.
 
     ``blocks`` is an (nblocks, 4) array of words (or anything convertible),
-    ``tweaks`` either one 4-word tweak or an (nblocks, 4) array.  Returns the
-    ciphertext words as an (nblocks, 4) uint64 array.
+    ``tweaks`` either one 4-word tweak or an (nblocks, 4) array.  Every word
+    must be an integer in [0, 2**w).  Returns the ciphertext words as an
+    (nblocks, 4) uint64 array.
     """
-    x = _as_block_array(blocks)
-    t = _tweak_rows(tweaks, x.shape[0])
-    m, n = schedule.as_arrays()
-    return _kernels.crypt_batch(x, t, m, n, _XTERM_MASKS, _GTERM_MASKS, _YTERM_MASKS,
-                                schedule.width, backend)
+    w = schedule.width
+    x = _as_block_array(blocks, w)
+    return _crypt_batch(x, _tweak_rows(tweaks, x.shape[0], w), schedule)
 
 
-def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule,
-                      backend: str | None = None) -> np.ndarray:
+def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
     """Decrypt many blocks; the batch counterpart of ``icrypt_fast``."""
     w = inverse_schedule.width
-    y = _as_block_array(blocks)
-    t = _tweak_rows(tweaks, y.shape[0])
+    y = _as_block_array(blocks, w)
+    t = _tweak_rows(tweaks, y.shape[0], w)
     half = np.uint64(w >> 1)
     msk = np.uint64((1 << w) - 1)
 
@@ -262,7 +217,5 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule,
         rev = a[:, ::-1]
         return (((rev << half) | (rev >> half)) & msk)
 
-    x_rs = _kernels.crypt_batch(np.ascontiguousarray(rs(y)), np.ascontiguousarray(rs(t)),
-                                *inverse_schedule.as_arrays(),
-                                _XTERM_MASKS, _GTERM_MASKS, _YTERM_MASKS, w, backend)
+    x_rs = _crypt_batch(np.ascontiguousarray(rs(y)), np.ascontiguousarray(rs(t)), inverse_schedule)
     return np.ascontiguousarray(rs(x_rs))

@@ -80,7 +80,7 @@ def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking
 def _blocks_in(blocks) -> tuple[np.ndarray, bool]:
     if isinstance(blocks, np.ndarray):
         return blocks, True
-    return np.asarray(list(blocks), dtype=np.uint64).reshape(-1, 4), False
+    return np.array(list(blocks), dtype=object), False
 
 
 def _blocks_out(arr: np.ndarray, as_array: bool):
@@ -90,7 +90,7 @@ def _blocks_out(arr: np.ndarray, as_array: bool):
 
 
 def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
-                   tweaking: bool = True, first_index: int = 0, backend: str | None = None):
+                   tweaking: bool = True, first_index: int = 0):
     """Encrypt a sequence of blocks; block j uses the tweak T0 odot (first_index+j).
 
     Key, unit and affine schedules are computed once and reused for the whole
@@ -103,18 +103,18 @@ def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
         return _blocks_out(np.empty((0, 4), dtype=np.uint64), as_array)
     schedule = affine_expand(key, unit_key, w)
     ts = _tweak_rows(tweak_key, first_index, xs.shape[0], w, tweaking)
-    return _blocks_out(crypt_fast_batch(xs, ts, schedule, backend), as_array)
+    return _blocks_out(crypt_fast_batch(xs, ts, schedule), as_array)
 
 
 def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
-                   tweaking: bool = True, first_index: int = 0, backend: str | None = None):
+                   tweaking: bool = True, first_index: int = 0):
     """Invert ``encrypt_blocks``; ``first_index`` gives random access to any slice."""
     ys, as_array = _blocks_in(blocks)
     if ys.size == 0:
         return _blocks_out(np.empty((0, 4), dtype=np.uint64), as_array)
     inverse = invert_affine(affine_expand(key, unit_key, w))
     ts = _tweak_rows(tweak_key, first_index, ys.shape[0], w, tweaking)
-    return _blocks_out(icrypt_fast_batch(ys, ts, inverse, backend), as_array)
+    return _blocks_out(icrypt_fast_batch(ys, ts, inverse), as_array)
 
 
 def encrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):

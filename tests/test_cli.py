@@ -52,10 +52,18 @@ def test_keys_from_environment(tmp_path, monkeypatch):
     assert back.read_bytes() == b"12345"
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     src = tmp_path / "p"
     src.write_bytes(b"x")
     out = tmp_path / "c"
+    # one non-hex digit in an otherwise valid key: the error must not echo the key
+    bad_key = KEY16[:-1] + "G"
+    assert run("encrypt", "--width", "16", "--key", bad_key, "--tweak-key", TWEAK16,
+               "--unit-key", UNIT16, "--in", str(src), "--out", str(out)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--key" in captured.err
+    for start in range(len(bad_key) - 3):
+        assert bad_key[start:start + 4] not in captured.out + captured.err
     # wrong hex length for the declared width
     assert run("encrypt", "--width", "16", "--key", "1234", "--tweak-key", TWEAK16,
                "--unit-key", UNIT16, "--in", str(src), "--out", str(out)) == EXIT_USAGE

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words
-from nsabc import _kernels
 from nsabc._kernels import resolve_backend, v_affine_gbox, v_gbox
 from nsabc.cipher import crypt, decrypt, gbox
 from nsabc.fastpath import (
@@ -19,13 +18,13 @@ from nsabc.fastpath import (
     affine_gbox,
     crypt_fast,
     crypt_fast_batch,
-    crypt_fast_pair,
     icrypt_fast,
     icrypt_fast_batch,
     invert_affine,
 )
 from nsabc.fastpath import _fast_g_values
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
+from nsabc.tweakstream import decrypt_blocks, encrypt_blocks
 
 Z16 = (0x0000, 0x0005, 0x0066, 0x0777, 0x8888)
 T16 = (0x4444, 0x0333, 0x0022, 0x0001)
@@ -35,32 +34,6 @@ X16 = (0xCDEF, 0x89AB, 0x4567, 0x0123)
 
 # ---------------------------------------------------------------------------
 # dependency tables
-
-
-def derive_round_tables():
-    """Re-derive the G input/output XOR combinations from the round relations."""
-    regs = [frozenset({("x", i)}) for i in range(4)]
-    inputs = []
-    for k in range(32):
-        inputs.append(regs[0])
-        g = frozenset({("g", k)})
-        if k & 8 == 0:
-            regs = [regs[1] ^ g, regs[2], regs[3], g]
-        else:
-            regs = [regs[1], regs[2], regs[3] ^ regs[0], g]
-    return inputs, regs
-
-
-def test_tables_match_round_relations():
-    inputs, outputs = derive_round_tables()
-    for k in range(32):
-        x_terms = tuple(sorted(i for kind, i in inputs[k] if kind == "x"))
-        g_terms = tuple(sorted(i for kind, i in inputs[k] if kind == "g"))
-        assert x_terms == tuple(sorted(ROUND_TEXT_TERMS[k]))
-        assert g_terms == tuple(sorted(ROUND_G_TERMS[k]))
-    for i in range(4):
-        assert all(kind == "g" for kind, _ in outputs[i])
-        assert tuple(sorted(j for _, j in outputs[i])) == tuple(sorted(OUTPUT_G_TERMS[i]))
 
 
 def test_step_grouping_is_a_valid_topological_partition():
@@ -78,11 +51,16 @@ def test_step_grouping_is_a_valid_topological_partition():
 
 
 def test_fast_g_values_match_reference_trace():
-    s = affine_expand(Z16, U16, 16)
-    trace = []
-    crypt(X16, key_expand(Z16, 16), unit_expand(U16, 16), tweak_expand(T16, 16), 16, trace=trace)
-    ref_g = [g for _, _, g in trace[:32]]
-    assert _fast_g_values(X16, T16, s) == ref_g
+    # the published w=16 vector, then seeded random vectors at every width
+    vectors = [(16, (X16, Z16, T16, U16))]
+    for w in (16, 32, 64):
+        rng = random.Random(w * 3)
+        vectors += [(w, random_tuple(rng, w)) for _ in range(8)]
+    for w, (x, z, t, u) in vectors:
+        trace = []
+        crypt(x, key_expand(z, w), unit_expand(u, w), tweak_expand(t, w), w, trace=trace)
+        ref_g = [g for _, _, g in trace[:32]]
+        assert _fast_g_values(x, t, affine_expand(z, u, w)) == ref_g, f"w={w}"
 
 
 def test_permuting_in_step_evaluations_is_inert():
@@ -317,58 +295,21 @@ def test_icrypt_fast_known_answer():
 
 
 # ---------------------------------------------------------------------------
-# dual-block interleaved entry point
-
-
-def test_crypt_fast_pair_matches_singles(rng):
-    w = 64
-    xa, za, ta, ua = random_tuple(rng, w)
-    xb, zb, tb, ub = random_tuple(rng, w)
-    sa, sb = affine_expand(za, ua, w), affine_expand(zb, ub, w)
-    ya, yb = crypt_fast_pair(xa, xb, ta, tb, sa, sb)
-    assert ya == crypt_fast(xa, ta, sa)
-    assert yb == crypt_fast(xb, tb, sb)
-
-
-def test_crypt_fast_pair_rejects_mixed_widths(rng):
-    _, z16, _, u16 = random_tuple(rng, 16)
-    _, z32, _, u32 = random_tuple(rng, 32)
-    with pytest.raises(ValueError):
-        crypt_fast_pair((0,) * 4, (0,) * 4, (0,) * 4, (0,) * 4,
-                        affine_expand(z16, u16, 16), affine_expand(z32, u32, 32))
-
-
-# ---------------------------------------------------------------------------
-# batch kernels (numba and numpy backends)
+# batch kernel
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_batch_matches_scalar(w, backend):
-    if backend == "numba" and not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(w + len(backend))
+def test_batch_matches_scalar(w):
+    rng = random.Random(w + 5)
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     xs = [random_words(rng, 4, w) for _ in range(40)]
     ts = [random_words(rng, 4, w) for _ in range(40)]
-    out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(ts, dtype=np.uint64), s, backend)
+    out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(ts, dtype=np.uint64), s)
     for i in range(40):
         assert tuple(int(v) for v in out[i]) == crypt_fast(xs[i], ts[i], s)
-    back = icrypt_fast_batch(out, np.array(ts, dtype=np.uint64), invert_affine(s), backend)
+    back = icrypt_fast_batch(out, np.array(ts, dtype=np.uint64), invert_affine(s))
     assert np.array_equal(back, np.array(xs, dtype=np.uint64))
-
-
-def test_batch_backends_agree(rng):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    w = 64
-    _, z, t, u = random_tuple(rng, w)
-    s = affine_expand(z, u, w)
-    xs = np.array([random_words(rng, 4, w) for _ in range(200)], dtype=np.uint64)
-    a = crypt_fast_batch(xs, np.array(t, dtype=np.uint64), s, "numba")
-    b = crypt_fast_batch(xs, np.array(t, dtype=np.uint64), s, "numpy")
-    assert np.array_equal(a, b)
 
 
 def test_batch_broadcasts_single_tweak(rng):
@@ -376,7 +317,7 @@ def test_batch_broadcasts_single_tweak(rng):
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     xs = [random_words(rng, 4, w) for _ in range(10)]
-    out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(t, dtype=np.uint64), s, "numpy")
+    out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(t, dtype=np.uint64), s)
     for i, x in enumerate(xs):
         assert tuple(int(v) for v in out[i]) == crypt_fast(x, t, s)
 
@@ -390,14 +331,40 @@ def test_batch_shape_validation(rng):
         crypt_fast_batch(np.zeros((3, 4), dtype=np.uint64), np.zeros((2, 4), dtype=np.uint64), s)
 
 
-def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv("NSABC_BACKEND", raising=False)
-    assert resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv("NSABC_BACKEND", "numpy")
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_batch_rejects_bad_words(w):
+    # the batch and array entry points reject what the scalar path rejects,
+    # instead of truncating or masking it
+    rng = random.Random(w)
+    x, z, t, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    t0 = rng.randrange(1 << (4 * w))
+    over = (1 << w) + 1
+    bad_blocks = [
+        [[over, 0, 0, 0]],                         # word >= 2**w
+        np.array([[1.7, 0, 0, 0]]),                # not an integer
+        np.array([[-1, 0, 0, 0]], dtype=np.int64),  # negative word
+    ]
+    batch_calls = ((crypt_fast_batch, s), (icrypt_fast_batch, inv))
+    for blocks in bad_blocks:
+        for fn, sched in batch_calls:
+            with pytest.raises(ValueError):
+                fn(blocks, t, sched)
+        for fn in (encrypt_blocks, decrypt_blocks):
+            with pytest.raises(ValueError):
+                fn(blocks, z, t0, u, w)
+    for fn, sched in batch_calls:
+        with pytest.raises(ValueError):
+            fn([x], (over, 0, 0, 0), sched)          # tweak word >= 2**w
+    # lists whose rows are not 4 words are refused, not re-chunked into blocks
+    for blocks in ([(1, 2, 3)] * 4, [tuple(range(1, 9))]):
+        for fn in (encrypt_blocks, decrypt_blocks):
+            with pytest.raises(ValueError):
+                fn(blocks, z, t0, u, w)
+    with pytest.raises(ValueError):
+        crypt_fast((over, 0, 0, 0), t, s)            # the scalar path agrees
+
+
+def test_backend_resolution():
     assert resolve_backend() == "numpy"
-    assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-    monkeypatch.setenv("NSABC_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        resolve_backend()
