@@ -1,6 +1,6 @@
 """NSABC/w: a width-scalable, tweakable block cipher over quasi-group word
 multiplication, with a bit-exact reference path and an accelerated affine
-path (one vectorized numpy batch kernel over the derived round graph)."""
+path (one evaluator of the derived round graph, for one block or a numpy batch)."""
 
 from .cipher import (
     Block,

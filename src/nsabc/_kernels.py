@@ -1,14 +1,25 @@
-"""Vectorized numpy kernels: the word algebra and the batch block transform.
+"""Vectorized numpy word algebra and the one fast block transform.
 
-All kernels work on ``uint64`` arrays regardless of the cipher width: values
-are kept masked to w bits and every operation is a ring operation, so doing
-the arithmetic mod 2**64 and masking afterwards is exact for every supported
-width (and at w=64 the masking is the native wraparound itself).
+The word algebra works on ``uint64`` arrays regardless of the cipher width:
+values are kept masked to w bits and every operation is a ring operation, so
+doing the arithmetic mod 2**64 and masking afterwards is exact for every
+supported width (and at w=64 the masking is the native wraparound itself).
+
+The block transform evaluates the 32 rounds through their dependency graph in
+20 steps.  The graph is derived at import by running the cipher's round
+relation on XOR-sets of symbols, so all widths share a single definition, and
+one evaluator walks it for a single block of Python ints and for a batch of
+uint64 columns alike.
 """
 
 from __future__ import annotations
 
+from functools import cache, reduce
+from operator import xor
+
 import numpy as np
+
+from .cipher import round_update
 
 
 def resolve_backend() -> str:
@@ -100,51 +111,90 @@ def v_gbox(x, k0, k1, l0, l1, c0, w: int):
     return v_swap_halves(v_boxdot_e(x, k1, l1, w), w)
 
 
-def v_affine_gbox(x, t, m0, m1, n0, n1, w: int):
-    """Affine form of the G-box: each half-round is one multiply and one add."""
-    msk = v_mask(w)
-    with _wrapping():
-        x = (_u64(x) * _u64(m0) + _u64(n0)) & msk
-        x = v_swap_halves(x, w) ^ _u64(t)
-        x = (x * _u64(m1) + _u64(n1)) & msk
-    return v_swap_halves(x, w)
-
-
 # ---------------------------------------------------------------------------
-# batch block transform
+# the fast block transform
 #
-# x: (nblocks, 4) uint64, t: (nblocks, 4) uint64, m/n: (64,) uint64.
-# text_terms[k] and g_terms[k] give the plaintext words and the earlier G
-# outputs that XOR together into round k's G input; out_terms[i] gives the G
-# outputs assembled into ciphertext word i.  Rounds only ever depend on
-# lower-numbered rounds, so evaluating k = 0..31 in order is a valid
-# topological order of the dependency graph.
+# One evaluator walks the round graph.  A word is a Python int (one block) or
+# a uint64 column (that word of many blocks), and only operators that mean the
+# same on both are used.  Shift and mask take the type of the schedule words,
+# as a Python int operand is slower on arrays and, before NEP 50, turned
+# np.uint64 scalars into floats; they are cached, as np.uint64() is slow too.
 
 
-def crypt_batch(x, t, m, n, text_terms, g_terms, out_terms, w: int) -> np.ndarray:
-    """Run the 32-round transform over a batch of blocks; returns (nblocks, 4)."""
-    x = np.ascontiguousarray(x, dtype=np.uint64)
-    t = np.ascontiguousarray(t, dtype=np.uint64)
-    m = np.ascontiguousarray(m, dtype=np.uint64)
-    n = np.ascontiguousarray(n, dtype=np.uint64)
-    half = np.uint64(w >> 1)
-    msk = v_mask(w)
-    # XORs accumulate in place into preallocated buffers: fresh temporaries
-    # per XOR raise the process's peak memory on large batches
-    g = np.empty((32, x.shape[0]), dtype=np.uint64)
-    acc = np.empty(x.shape[0], dtype=np.uint64)
+def _derive_round_graph():
+    """Run ``round_update`` over symbols ("x", i) and ("g", k) for 32 rounds.
+
+    Each register holds the set of symbols XORed into it: plaintext word i or
+    the G output of round k.  Round k's G input is register x0 at its start.
+    A round's step is one past the latest step among the rounds it reads.
+    """
+    regs = tuple(frozenset({("x", i)}) for i in range(4))
+    text_terms, g_terms, level = [], [], []
     for k in range(32):
-        terms = [x[:, i] for i in text_terms[k]] + [g[j] for j in g_terms[k]]
-        np.copyto(acc, terms[0])
-        for term in terms[1:]:
-            acc ^= term
-        v = (acc * m[2 * k] + n[2 * k]) & msk
-        v = ((v << half) | (v >> half)) & msk
-        v ^= t[:, k & 3]
-        v = (v * m[2 * k + 1] + n[2 * k + 1]) & msk
-        g[k] = ((v << half) | (v >> half)) & msk
-    y = np.zeros((x.shape[0], 4), dtype=np.uint64)
-    for i, terms in enumerate(out_terms):
-        for j in terms:
-            y[:, i] ^= g[j]
-    return y
+        text_terms.append(tuple(sorted(i for kind, i in regs[0] if kind == "x")))
+        g_terms.append(tuple(sorted(j for kind, j in regs[0] if kind == "g")))
+        level.append(1 + max((level[j] for j in g_terms[k]), default=-1))
+        regs = round_update(*regs, frozenset({("g", k)}), k)
+    assert all(kind == "g" for reg in regs for kind, _ in reg), "ciphertext must not hold plaintext terms"
+    out_terms = tuple(tuple(sorted(j for _, j in reg)) for reg in regs)
+    steps = tuple(tuple(k for k in range(32) if level[k] == s) for s in range(max(level) + 1))
+    return tuple(text_terms), tuple(g_terms), steps, out_terms
+
+
+# ROUND_TEXT_TERMS[k] / ROUND_G_TERMS[k]: plaintext words / earlier rounds whose
+# G outputs XOR together into round k's G input.  PARALLEL_STEPS: the rounds
+# grouped into evaluation steps; every round in a step depends only on rounds
+# from earlier steps, so the members of a step are independent.
+# OUTPUT_G_TERMS[i]: the rounds whose G outputs XOR into ciphertext word i.
+ROUND_TEXT_TERMS, ROUND_G_TERMS, PARALLEL_STEPS, OUTPUT_G_TERMS = _derive_round_graph()
+
+
+@cache
+def _half_mask(word, w: int):
+    return word(w >> 1), word((1 << w) - 1)
+
+
+def affine_gbox(x, t, m0, m1, n0, n1, w: int):
+    """G-box in affine form; equals gbox under the (m, n) correspondence.
+
+    x and t are ints or uint64 arrays; m0, m1, n0, n1 are ints or np.uint64.
+    """
+    half, mask = _half_mask(type(m0), w)
+    x = (x * m0 + n0) & mask
+    x = (((x << half) | (x >> half)) & mask) ^ t
+    x = (x * m1 + n1) & mask
+    return ((x << half) | (x >> half)) & mask
+
+
+def g_values(x, t, m, n, w: int) -> list:
+    """All 32 G outputs for block words x, tweak words t and affine constants m, n."""
+    zero = type(m[0])(0)
+    g = [None] * 32
+    for step in PARALLEL_STEPS:
+        # members of one step are mutually independent G evaluations
+        for k in step:
+            acc = zero  # a scalar, so the first ^= makes a fresh word and x, g are never written
+            for i in ROUND_TEXT_TERMS[k]:
+                acc ^= x[i]
+            for j in ROUND_G_TERMS[k]:
+                acc ^= g[j]
+            g[k] = affine_gbox(acc, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], w)
+    return g
+
+
+def crypt_words(x, t, m, n, w: int) -> list:
+    """The 32-round transform of the 4 words x under the 4 tweak words t."""
+    g = g_values(x, t, m, n, w)
+    return [reduce(xor, [g[j] for j in terms]) for terms in OUTPUT_G_TERMS]
+
+
+def reversed_swapped(words, w: int) -> list:
+    """Words reversed with halves swapped, the reordering under which decryption is encryption."""
+    half, mask = _half_mask(int if isinstance(words[0], int) else np.uint64, w)
+    return [((v << half) | (v >> half)) & mask for v in reversed(words)]
+
+
+def crypt_batch(x, t, m, n, w: int) -> np.ndarray:
+    """Transform an (nblocks, 4) array under (nblocks, 4) tweaks or one 4-word tweak."""
+    m, n = list(np.array(m, dtype=np.uint64)), list(np.array(n, dtype=np.uint64))
+    return np.stack(crypt_words(list(x.T), list(t.T), m, n, w), axis=1)

@@ -87,7 +87,7 @@ def round_update(x0, x1, x2, x3, g, k: int):
     A type-A round XORs g into x1, a type-B round XORs x0 into x3; both then
     put g in x0's place and rotate the register one word down.  Only ``^`` is
     applied to the words, so the same relation runs on XOR-sets of symbols
-    (see ``fastpath``).
+    (see ``_kernels``).
     """
     # (k & 8) == 0 selects type A exactly on passes 1 and 3, i.e. k in [0,8) u [16,24)
     if k & 8 == 0:

@@ -1,5 +1,5 @@
-"""Optimized encryption path: precomputed affine schedules and the unrolled
-round dependency graph.
+"""Optimized encryption path: precomputed affine schedules and the scalar and
+batch entry points of the fast block transform.
 
 For a fixed key word z and unit word e, the half-round ``x bd[e] z`` is the
 affine map ``m*x + n`` with ``m = 2(z-e)+1`` (always odd) and
@@ -10,52 +10,28 @@ swaps and the tweak XOR.
 Because each round's G input is an XOR of plaintext words and earlier G
 outputs, the 32 rounds form a dependency graph that can be evaluated in 20
 steps, half of them running two or three independent G evaluations.  The
-graph is derived at import by running the cipher's round relation on XOR-sets
-of symbols - per round the contributing plaintext words and earlier rounds,
-the step grouping, and the XOR combinations assembling the ciphertext words -
-so all widths share a single definition.
+graph and its one evaluator live in ``_kernels``; the scalar functions here
+hand it Python ints and the batch functions uint64 columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 
 import numpy as np
 
 from . import _kernels
-from .cipher import check_block, reverse_words, round_update, swap_all_halves
+# the graph tables and affine_gbox are also imported from here
+from ._kernels import (
+    OUTPUT_G_TERMS,
+    PARALLEL_STEPS,
+    ROUND_G_TERMS,
+    ROUND_TEXT_TERMS,
+    affine_gbox,
+)
+from .cipher import check_block
 from .schedules import check_key, check_tweak, check_unit_key, key_expand, unit_expand
-from .words import check_cipher_width, mod_inverse, swap_halves
-
-
-def _derive_round_graph():
-    """Run ``round_update`` over symbols ("x", i) and ("g", k) for 32 rounds.
-
-    Each register holds the set of symbols XORed into it: plaintext word i or
-    the G output of round k.  Round k's G input is register x0 at its start.
-    A round's step is one past the latest step among the rounds it reads.
-    """
-    regs = tuple(frozenset({("x", i)}) for i in range(4))
-    text_terms, g_terms, level = [], [], []
-    for k in range(32):
-        text_terms.append(tuple(sorted(i for kind, i in regs[0] if kind == "x")))
-        g_terms.append(tuple(sorted(j for kind, j in regs[0] if kind == "g")))
-        level.append(1 + max((level[j] for j in g_terms[k]), default=-1))
-        regs = round_update(*regs, frozenset({("g", k)}), k)
-    assert all(kind == "g" for reg in regs for kind, _ in reg), "ciphertext must not hold plaintext terms"
-    out_terms = tuple(tuple(sorted(j for _, j in reg)) for reg in regs)
-    steps = tuple(tuple(k for k in range(32) if level[k] == s) for s in range(max(level) + 1))
-    return tuple(text_terms), tuple(g_terms), steps, out_terms
-
-
-# ROUND_TEXT_TERMS[k] / ROUND_G_TERMS[k]: plaintext words / earlier rounds whose
-# G outputs XOR together into round k's G input.  PARALLEL_STEPS: the rounds
-# grouped into evaluation steps; every round in a step depends only on rounds
-# from earlier steps, so the members of a step are independent.
-# OUTPUT_G_TERMS[i]: the rounds whose G outputs XOR into ciphertext word i.
-ROUND_TEXT_TERMS, ROUND_G_TERMS, PARALLEL_STEPS, OUTPUT_G_TERMS = _derive_round_graph()
+from .words import check_cipher_width, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -73,9 +49,6 @@ class AffineSchedule:
         if any(not mi & 1 for mi in self.m):
             raise ValueError("every affine multiplier must be odd")
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array(self.m, dtype=np.uint64), np.array(self.n, dtype=np.uint64))
-
 
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:
     """Expand key material straight into the affine half-round constants."""
@@ -89,35 +62,11 @@ def affine_expand(key, unit_key, w: int) -> AffineSchedule:
     return AffineSchedule(w, m, n)
 
 
-def affine_gbox(x: int, t: int, m0: int, m1: int, n0: int, n1: int, w: int) -> int:
-    """G-box in affine form; equals gbox under the (m, n) correspondence."""
-    mask = (1 << w) - 1
-    x = swap_halves((x * m0 + n0) & mask, w) ^ t
-    return swap_halves((x * m1 + n1) & mask, w)
-
-
-def _fast_g_values(block, tweak, schedule: AffineSchedule) -> list[int]:
-    """Evaluate all 32 G outputs following the 20-step grouping."""
-    w = schedule.width
-    m, n = schedule.m, schedule.n
-    g = [0] * 32
-    for step in PARALLEL_STEPS:
-        # members of one step are mutually independent G evaluations
-        for k in step:
-            acc = 0
-            for i in ROUND_TEXT_TERMS[k]:
-                acc ^= block[i]
-            for j in ROUND_G_TERMS[k]:
-                acc ^= g[j]
-            g[k] = affine_gbox(acc, tweak[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], w)
-    return g
-
-
 def crypt_fast(block, tweak, schedule: AffineSchedule):
     """Optimized-path equivalent of the reference 32-round transform."""
     w = schedule.width
-    g = _fast_g_values(check_block(block, w), check_tweak(tweak, w), schedule)
-    return tuple(reduce(xor, [g[j] for j in terms]) for terms in OUTPUT_G_TERMS)
+    x, t = check_block(block, w), check_tweak(tweak, w)
+    return tuple(_kernels.crypt_words(x, t, schedule.m, schedule.n, w))
 
 
 def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
@@ -142,12 +91,10 @@ def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
     block was encrypted under.
     """
     w = inverse_schedule.width
-    y = check_block(block, w)
-    t = check_tweak(tweak, w)
-    y_rs = swap_all_halves(reverse_words(y), w)
-    t_rs = swap_all_halves(reverse_words(t), w)
-    x_rs = crypt_fast(y_rs, t_rs, inverse_schedule)
-    return swap_all_halves(reverse_words(x_rs), w)
+    y_rs = _kernels.reversed_swapped(check_block(block, w), w)
+    t_rs = _kernels.reversed_swapped(check_tweak(tweak, w), w)
+    x_rs = _kernels.crypt_words(y_rs, t_rs, inverse_schedule.m, inverse_schedule.n, w)
+    return tuple(_kernels.reversed_swapped(x_rs, w))
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +125,11 @@ def _as_block_array(blocks, w: int) -> np.ndarray:
     return arr
 
 
-def _tweak_rows(tweaks, nblocks: int, w: int) -> np.ndarray:
+def _as_tweak_array(tweaks, nblocks: int, w: int) -> np.ndarray:
     arr = _words(tweaks, w, "tweak words")
-    if arr.shape == (4,):
-        arr = np.broadcast_to(arr, (nblocks, 4))
-    if arr.shape != (nblocks, 4):
-        raise ValueError(f"expected tweak rows of shape ({nblocks}, 4), got {arr.shape}")
+    if arr.shape not in ((4,), (nblocks, 4)):
+        raise ValueError(f"expected one 4-word tweak or tweak rows of shape ({nblocks}, 4), got {arr.shape}")
     return arr
-
-
-def _crypt_batch(x, t, schedule: AffineSchedule) -> np.ndarray:
-    return _kernels.crypt_batch(x, t, *schedule.as_arrays(), ROUND_TEXT_TERMS, ROUND_G_TERMS,
-                                OUTPUT_G_TERMS, schedule.width)
 
 
 def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
@@ -202,20 +142,16 @@ def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     """
     w = schedule.width
     x = _as_block_array(blocks, w)
-    return _crypt_batch(x, _tweak_rows(tweaks, x.shape[0], w), schedule)
+    t = _as_tweak_array(tweaks, x.shape[0], w)
+    return _kernels.crypt_batch(x, t, schedule.m, schedule.n, w)
 
 
 def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
     """Decrypt many blocks; the batch counterpart of ``icrypt_fast``."""
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
-    t = _tweak_rows(tweaks, y.shape[0], w)
-    half = np.uint64(w >> 1)
-    msk = np.uint64((1 << w) - 1)
-
-    def rs(a):
-        rev = a[:, ::-1]
-        return (((rev << half) | (rev >> half)) & msk)
-
-    x_rs = _crypt_batch(np.ascontiguousarray(rs(y)), np.ascontiguousarray(rs(t)), inverse_schedule)
-    return np.ascontiguousarray(rs(x_rs))
+    t = _as_tweak_array(tweaks, y.shape[0], w)
+    # stacking on the last axis keeps one 4-word tweak a (4,) array
+    y_rs, t_rs = (np.stack(_kernels.reversed_swapped(list(a.T), w), axis=-1) for a in (y, t))
+    x_rs = _kernels.crypt_batch(y_rs, t_rs, inverse_schedule.m, inverse_schedule.n, w)
+    return np.stack(_kernels.reversed_swapped(list(x_rs.T), w), axis=1)

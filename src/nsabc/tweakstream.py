@@ -14,65 +14,50 @@ so no tweak repeats before 2**(4w) blocks; that bound is documented, not
 enforced.  Block indices live in a flat 4w-bit space; applications wanting
 structured indices pack them into j themselves.
 
-Wide values are ordinary Python ints reduced mod 2**(4w) and converted to and
-from 4-word little-endian tuples at the block boundary.
+Wide values are ordinary Python ints in [0, 2**(4w)), converted to and from
+4-word little-endian tuples at the block boundary (``cipher.int_to_block``).
+A tweak key or block index outside that range is refused, not reduced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cipher import decrypt, encrypt
+from .cipher import block_to_int, encrypt, int_to_block
 from .fastpath import affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
-from .schedules import check_tweak
 from .words import check_cipher_width
-
-WIDE_WORDS = 4
-
-
-def wide_mask(w: int) -> int:
-    return (1 << (4 * w)) - 1
-
-
-def wide_from_words(words, w: int) -> int:
-    """Pack a 4-word tweak (t0 least significant) into one 4w-bit integer."""
-    t = check_tweak(words, w)
-    return t[0] | (t[1] << w) | (t[2] << (2 * w)) | (t[3] << (3 * w))
-
-
-def wide_to_words(value: int, w: int) -> tuple[int, int, int, int]:
-    """Split a 4w-bit integer into the 4-word tweak form."""
-    mask = (1 << w) - 1
-    return (value & mask, (value >> w) & mask, (value >> (2 * w)) & mask, (value >> (3 * w)) & mask)
 
 
 def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
-    """Tweak of block ``index``: tweak_key odot index in 4w-bit arithmetic."""
+    """Tweak of block ``index``: tweak_key odot index in 4w-bit arithmetic.
+
+    Both must be integers in [0, 2**(4w)); anything else raises ValueError.
+    """
     check_cipher_width(w)
-    wm = wide_mask(w)
-    t0 = tweak_key & wm
-    j = index & wm
-    return wide_to_words((2 * t0 * j + t0 + j) & wm, w)
+    wm = (1 << (4 * w)) - 1
+    for name, value in (("tweak key", tweak_key), ("block index", index)):
+        # the message never quotes the value: a tweak key is key material
+        if not isinstance(value, int) or not 0 <= value <= wm:
+            raise ValueError(f"{name} must be an integer in [0, 2**{4 * w})")
+    return int_to_block((2 * tweak_key * index + tweak_key + index) & wm, w)
 
 
 def tweak_next(current: int, tweak_key: int, w: int) -> int:
     """Advance a wide tweak value by one block: current + 2*tweak_key + 1."""
     check_cipher_width(w)
-    wm = wide_mask(w)
-    return (current + 2 * tweak_key + 1) & wm
+    return (current + 2 * tweak_key + 1) & ((1 << (4 * w)) - 1)
 
 
 def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking: bool) -> np.ndarray:
-    """Tweak words for blocks first_index..first_index+nblocks-1 as (n, 4)."""
-    rows = np.empty((nblocks, 4), dtype=np.uint64)
+    """Tweak words for blocks first_index..first_index+nblocks-1 as (n, 4); the (4,) key if not tweaking."""
     if not tweaking:
-        rows[:] = np.array(wide_to_words(tweak_key & wide_mask(w), w), dtype=np.uint64)
-        return rows
-    wm = wide_mask(w)
+        return np.array(tweak_at(tweak_key, 0, w), dtype=np.uint64)
+    value = block_to_int(tweak_at(tweak_key, first_index, w), w)
+    wm = (1 << (4 * w)) - 1
     step = (2 * tweak_key + 1) & wm
-    value = (tweak_key & wm) if first_index == 0 else wide_from_words(tweak_at(tweak_key, first_index, w), w)
+    rows = np.empty((nblocks, 4), dtype=np.uint64)
     for i in range(nblocks):
-        rows[i] = wide_to_words(value, w)
+        rows[i] = int_to_block(value, w)
         value = (value + step) & wm
     return rows
 
@@ -120,8 +105,3 @@ def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
 def encrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):
     """Reference-path encryption of the single block at ``index``."""
     return encrypt(block, key, tweak_at(tweak_key, index, w), unit_key, w)
-
-
-def decrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):
-    """Reference-path decryption of the single block at ``index``."""
-    return decrypt(block, key, tweak_at(tweak_key, index, w), unit_key, w)

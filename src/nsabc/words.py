@@ -112,11 +112,3 @@ def swap_halves(x: int, w: int) -> int:
     mask = (1 << w) - 1
     x &= mask
     return ((x << h) | (x >> h)) & mask
-
-
-def rotate_left(x: int, n: int, w: int) -> int:
-    """Cyclic left shift of a w-bit word by n bits."""
-    mask = (1 << w) - 1
-    x &= mask
-    n %= w
-    return ((x << n) | (x >> (w - n))) & mask

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words
-from nsabc._kernels import resolve_backend, v_affine_gbox, v_gbox
+from nsabc._kernels import g_values, resolve_backend, v_gbox
 from nsabc.cipher import crypt, decrypt, gbox
 from nsabc.fastpath import (
     OUTPUT_G_TERMS,
@@ -22,7 +22,6 @@ from nsabc.fastpath import (
     icrypt_fast_batch,
     invert_affine,
 )
-from nsabc.fastpath import _fast_g_values
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
 from nsabc.tweakstream import decrypt_blocks, encrypt_blocks
 
@@ -60,7 +59,8 @@ def test_fast_g_values_match_reference_trace():
         trace = []
         crypt(x, key_expand(z, w), unit_expand(u, w), tweak_expand(t, w), w, trace=trace)
         ref_g = [g for _, _, g in trace[:32]]
-        assert _fast_g_values(x, t, affine_expand(z, u, w)) == ref_g, f"w={w}"
+        s = affine_expand(z, u, w)
+        assert g_values(x, t, s.m, s.n, w) == ref_g, f"w={w}"
 
 
 def test_permuting_in_step_evaluations_is_inert():
@@ -77,7 +77,7 @@ def test_permuting_in_step_evaluations_is_inert():
                 acc ^= g[j]
             g[k] = affine_gbox(acc, T16[k & 3], s.m[2 * k], s.m[2 * k + 1],
                                s.n[2 * k], s.n[2 * k + 1], 16)
-    assert g == _fast_g_values(X16, T16, s)
+    assert g == g_values(X16, T16, s.m, s.n, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,10 @@ def test_affine_gbox_equals_gbox(w):
     n0 = ((2 * l0 - 1) * (k0 - l0)) & mask
     m1 = (2 * (k1 - l1) + 1) & mask
     n1 = ((2 * l1 - 1) * (k1 - l1)) & mask
+    # the array form: uint64 text column, np.uint64 tweak and constants
+    m0u, m1u, n0u, n1u, c0u = (np.uint64(v) for v in (m0, m1, n0, n1, c0))
     assert np.array_equal(v_gbox(xs, k0, k1, l0, l1, c0, w),
-                          v_affine_gbox(xs, c0, m0, m1, n0, n1, w))
+                          affine_gbox(xs, c0u, m0u, m1u, n0u, n1u, w))
     # scalar spot checks of the same correspondence
     sr = random.Random(w)
     for _ in range(50):
@@ -312,14 +314,19 @@ def test_batch_matches_scalar(w):
     assert np.array_equal(back, np.array(xs, dtype=np.uint64))
 
 
-def test_batch_broadcasts_single_tweak(rng):
-    w = 32
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_batch_broadcasts_single_tweak(w, rng):
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
+    inv = invert_affine(s)
     xs = [random_words(rng, 4, w) for _ in range(10)]
     out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(t, dtype=np.uint64), s)
     for i, x in enumerate(xs):
         assert tuple(int(v) for v in out[i]) == crypt_fast(x, t, s)
+    assert np.array_equal(icrypt_fast_batch(out, t, inv), np.array(xs, dtype=np.uint64))
+    # an empty batch keeps its shape
+    for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, inv)):
+        assert fn(np.zeros((0, 4), dtype=np.uint64), t, sched).shape == (0, 4)
 
 
 def test_batch_shape_validation(rng):

@@ -4,33 +4,26 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words
-from nsabc.cipher import decrypt, encrypt
-from nsabc.tweakstream import (
-    decrypt_blocks,
-    encrypt_blocks,
-    tweak_at,
-    tweak_next,
-    wide_from_words,
-    wide_mask,
-    wide_to_words,
-)
+from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block
+from nsabc.container import decrypt_bytes, encrypt_bytes
+from nsabc.tweakstream import decrypt_blocks, encrypt_blocks, tweak_at, tweak_next
 
 T0_16 = 0x0001002203334444
 
 
 def test_wide_word_packing():
-    words = wide_to_words(T0_16, 16)
+    words = int_to_block(T0_16, 16)
     assert words == (0x4444, 0x0333, 0x0022, 0x0001)
-    assert wide_from_words(words, 16) == T0_16
+    assert block_to_int(words, 16) == T0_16
 
 
 def test_tweak_at_index_zero_is_the_tweak_key():
-    assert tweak_at(T0_16, 0, 16) == wide_to_words(T0_16, 16)
+    assert tweak_at(T0_16, 0, 16) == int_to_block(T0_16, 16)
 
 
 def test_tweak_at_zero_key_yields_index():
     for j in (0, 1, 7, 12345, 1 << 63):
-        assert tweak_at(0, j, 16) == wide_to_words(j, 16)
+        assert tweak_at(0, j, 16) == int_to_block(j, 16)
 
 
 def test_tweak_next_examples():
@@ -45,7 +38,7 @@ def test_closed_form_equals_recurrence(w, rng):
     t0 = rng.randrange(1 << (4 * w))
     value = t0
     for j in range(2000):
-        assert tweak_at(t0, j, w) == wide_to_words(value, w)
+        assert tweak_at(t0, j, w) == int_to_block(value, w)
         value = tweak_next(value, t0, w)
 
 
@@ -58,8 +51,38 @@ def test_tweak_injective_prefix(rng):
 
 def test_wraparound_is_modular():
     w = 16
-    top = wide_mask(w)  # 2**64 - 1
-    assert tweak_at(1, top, w) == wide_to_words((2 * top + 1 + top) & top, w)
+    top = (1 << (4 * w)) - 1
+    assert tweak_at(1, top, w) == int_to_block((2 * top + 1 + top) & top, w)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_tweak_key_and_index_must_fit(w, rng):
+    # a tweak key or block index outside [0, 2**(4w)) is refused, not reduced
+    # mod 2**(4w) into some other key's tweaks
+    x, z, _, u = random_tuple(rng, w)
+    top = 1 << (4 * w)
+    data = bytes(range(40))
+    for t in (6 + top, 6 - top, 6 + 2**300, 6.0, -1):
+        with pytest.raises(ValueError) as err:
+            tweak_at(t, 0, w)
+        assert str(t) not in str(err.value)
+        for tweaking in (True, False):
+            for call in (lambda: encrypt_bytes(data, z, t, u, w, tweaking=tweaking),
+                         lambda: encrypt_blocks([x], z, t, u, w, tweaking=tweaking),
+                         lambda: decrypt_blocks([x], z, t, u, w, tweaking=tweaking)):
+                with pytest.raises(ValueError):
+                    call()
+        blob = encrypt_bytes(data, z, 6, u, w)
+        with pytest.raises(ValueError):
+            decrypt_bytes(blob, z, t, u)
+    for j in (-1, top, 1.0):
+        with pytest.raises(ValueError):
+            tweak_at(6, j, w)
+        for fn in (encrypt_blocks, decrypt_blocks):
+            with pytest.raises(ValueError):
+                fn([x], z, 6, u, w, first_index=j)
+    # the largest key and index are still accepted
+    assert tweak_at(top - 1, top - 1, w) == int_to_block((2 * (top - 1) ** 2 + 2 * (top - 1)) % top, w)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +94,7 @@ def test_single_block_matches_reference(rng):
         x, z, _, u = random_tuple(rng, w)
         t0 = rng.randrange(1 << (4 * w))
         ct = encrypt_blocks([x], z, t0, u, w)
-        assert ct[0] == encrypt(x, z, wide_to_words(t0, w), u, w)
+        assert ct[0] == encrypt(x, z, int_to_block(t0, w), u, w)
 
 
 def test_roundtrip_and_per_block_tweaks(rng):
@@ -116,7 +139,7 @@ def test_disabled_tweaking_uses_constant_tweak(rng):
     t0 = rng.randrange(1 << (4 * w))
     blocks = [random_words(rng, 4, w) for _ in range(6)]
     ct = encrypt_blocks(blocks, z, t0, u, w, tweaking=False)
-    tw = wide_to_words(t0, w)
+    tw = int_to_block(t0, w)
     assert all(ct[j] == encrypt(blocks[j], z, tw, u, w) for j in range(6))
     assert decrypt_blocks(ct, z, t0, u, w, tweaking=False) == blocks
 
