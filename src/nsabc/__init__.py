@@ -2,6 +2,7 @@
 multiplication, with a bit-exact reference path and an accelerated affine
 path (one evaluator of the derived round graph, for one block or a numpy batch)."""
 
+from ._kernels import affine_gbox
 from .cipher import (
     Block,
     block_to_bytes,
@@ -20,7 +21,6 @@ from .container import ContainerFormatError, ContainerHeader, decrypt_bytes, enc
 from .fastpath import (
     AffineSchedule,
     affine_expand,
-    affine_gbox,
     crypt_fast,
     crypt_fast_batch,
     icrypt_fast,
@@ -28,7 +28,7 @@ from .fastpath import (
     invert_affine,
 )
 from .schedules import key_expand, tweak_expand, unit_expand
-from .tweakstream import decrypt_blocks, encrypt_blocks, tweak_at, tweak_next
+from .tweakstream import decrypt_blocks, encrypt_blocks, tweak_at
 from .words import (
     CIPHER_WIDTHS,
     boxdot,
@@ -82,6 +82,5 @@ __all__ = [
     "swap_halves",
     "tweak_at",
     "tweak_expand",
-    "tweak_next",
     "unit_expand",
 ]

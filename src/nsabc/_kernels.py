@@ -188,9 +188,17 @@ def crypt_words(x, t, m, n, w: int) -> list:
     return [reduce(xor, [g[j] for j in terms]) for terms in OUTPUT_G_TERMS]
 
 
-def reversed_swapped(words, w: int) -> list:
-    """Words reversed with halves swapped, the reordering under which decryption is encryption."""
-    half, mask = _half_mask(int if isinstance(words[0], int) else np.uint64, w)
+def reversed_swapped(words, w: int):
+    """Words reversed with halves swapped, the reordering under which decryption is encryption.
+
+    ``words`` is a sequence of 4 ints, giving a list, or a uint64 array whose
+    last axis holds the 4 words, giving an array of the same shape.
+    """
+    if isinstance(words, np.ndarray):
+        half, mask = _half_mask(np.uint64, w)
+        v = words[..., ::-1]
+        return ((v << half) | (v >> half)) & mask
+    half, mask = _half_mask(int, w)
     return [((v << half) | (v >> half)) & mask for v in reversed(words)]
 
 

@@ -90,8 +90,6 @@ def encrypt_bytes(plaintext: bytes, key, tweak_key: int, unit_key: int, w: int, 
     bb = header.block_bytes()
     pad = (-len(plaintext)) % bb
     padded = plaintext + b"\x00" * pad
-    if not padded:
-        return pack_header(header)
     xs = _bytes_to_words(padded, w)
     ys = encrypt_blocks(xs, key, tweak_key, unit_key, w, tweaking=tweaking)
     return pack_header(header) + _words_to_bytes(ys, w)
@@ -106,8 +104,6 @@ def decrypt_bytes(blob: bytes, key, tweak_key: int, unit_key: int) -> bytes:
     if len(body) != expected:
         raise ContainerFormatError(
             f"ciphertext length {len(body)} does not match header ({expected} octets expected)")
-    if not body:
-        return b""
     ys = _bytes_to_words(body, header.width)
     xs = decrypt_blocks(ys, key, tweak_key, unit_key, header.width, tweaking=header.tweaking)
     return _words_to_bytes(xs, header.width)[: header.plaintext_length]

@@ -10,8 +10,9 @@ swaps and the tweak XOR.
 Because each round's G input is an XOR of plaintext words and earlier G
 outputs, the 32 rounds form a dependency graph that can be evaluated in 20
 steps, half of them running two or three independent G evaluations.  The
-graph and its one evaluator live in ``_kernels``; the scalar functions here
-hand it Python ints and the batch functions uint64 columns.
+graph tables, ``affine_gbox`` and the one evaluator live in ``_kernels``; the
+scalar functions here hand it Python ints and the batch functions uint64
+arrays.  Key and unit key are validated by the schedule expansions they feed.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-# the graph tables and affine_gbox are also imported from here
-from ._kernels import (
-    OUTPUT_G_TERMS,
-    PARALLEL_STEPS,
-    ROUND_G_TERMS,
-    ROUND_TEXT_TERMS,
-    affine_gbox,
-)
 from .cipher import check_block
-from .schedules import check_key, check_tweak, check_unit_key, key_expand, unit_expand
+from .schedules import check_tweak, key_expand, unit_expand
 from .words import check_cipher_width, mod_inverse
 
 
@@ -52,11 +45,9 @@ class AffineSchedule:
 
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:
     """Expand key material straight into the affine half-round constants."""
-    z = check_key(key, w)
-    u = check_unit_key(unit_key, w)
     mask = (1 << w) - 1
-    ks = key_expand(z, w)
-    ls = unit_expand(u, w)
+    ks = key_expand(key, w)
+    ls = unit_expand(unit_key, w)
     m = tuple((2 * (k - e) + 1) & mask for k, e in zip(ks, ls))
     n = tuple(((2 * e - 1) * (k - e)) & mask for k, e in zip(ks, ls))
     return AffineSchedule(w, m, n)
@@ -118,8 +109,8 @@ def _words(values, w: int, what: str) -> np.ndarray:
 
 def _as_block_array(blocks, w: int) -> np.ndarray:
     arr = _words(blocks, w, "block words")
-    if arr.shape == (4,):
-        arr = arr.reshape(1, 4)
+    if arr.shape in ((4,), (0,)):
+        arr = arr.reshape(-1, 4)  # one block, or an empty sequence
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"expected an (nblocks, 4) array of words, got shape {arr.shape}")
     return arr
@@ -151,7 +142,6 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.nd
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
     t = _as_tweak_array(tweaks, y.shape[0], w)
-    # stacking on the last axis keeps one 4-word tweak a (4,) array
-    y_rs, t_rs = (np.stack(_kernels.reversed_swapped(list(a.T), w), axis=-1) for a in (y, t))
+    y_rs, t_rs = _kernels.reversed_swapped(y, w), _kernels.reversed_swapped(t, w)
     x_rs = _kernels.crypt_batch(y_rs, t_rs, inverse_schedule.m, inverse_schedule.n, w)
-    return np.stack(_kernels.reversed_swapped(list(x_rs.T), w), axis=1)
+    return _kernels.reversed_swapped(x_rs, w)

@@ -1,23 +1,18 @@
-"""Key, unit and tweak schedule generation.
+"""Key, unit and tweak schedules.
 
 A primary key Z is five words (z0 least significant), a tweak T four words,
-a unit key U one word.  The three expansion routines run tiny register
-machines:
+a unit key U one word.  The paper derives each schedule with a tiny register
+machine; ``*_expand`` returns the closed form of the words that machine taps:
 
-  * key schedule   K[0..63]: tap z3, rotate the 5-word register down one word
-  * tweak schedule C[0..31]: tap t0, rotate the 4-word register down one word
-  * unit schedule  L[0..63]: tap u, then u += 2U + 1  (so L[k] = U odot k)
+  * key schedule   K[0..63]: (Z3, Z4, Z0, Z1, Z2) repeated, K[k] = Z[(k+3) mod 5]
+  * tweak schedule C[0..31]: T repeated, C[k] = T[k mod 4]
+  * unit schedule  L[0..63]: L[k] = U odot k = U + k(2U + 1)  (mod 2**w)
 
-Each is available as an infinite generator holding nothing but its registers
-(``iter_*``) and as a materialized tuple of the exact schedule length
-(``*_expand``).  The materialized forms are defined as prefixes of the
-generators, so the two can never drift apart.
+The register machines themselves run in the independent test oracle
+(``tests/reference_oracle.py``), which every path is checked against.
 """
 
 from __future__ import annotations
-
-from itertools import islice
-from typing import Iterator
 
 from .words import check_cipher_width, check_word
 
@@ -55,43 +50,21 @@ def check_unit_key(u: int, w: int) -> int:
     return check_word(u, w, "unit key")
 
 
-def iter_key_words(z: tuple[int, ...], w: int) -> Iterator[int]:
-    """Yield key words from the rotating 5-word register, indefinitely."""
-    z0, z1, z2, z3, z4 = check_key(z, w)
-    while True:
-        yield z3
-        z0, z1, z2, z3, z4 = z1, z2, z3, z4, z0
-
-
-def iter_tweak_words(t: tuple[int, ...], w: int) -> Iterator[int]:
-    """Yield tweak words from the rotating 4-word register, indefinitely."""
-    t0, t1, t2, t3 = check_tweak(t, w)
-    while True:
-        yield t0
-        t0, t1, t2, t3 = t1, t2, t3, t0
-
-
-def iter_unit_words(u: int, w: int) -> Iterator[int]:
-    """Yield unit words u, 3U+1, 5U+2, ... from one accumulator register."""
-    u = check_unit_key(u, w)
-    mask = (1 << w) - 1
-    step = (2 * u + 1) & mask
-    acc = u
-    while True:
-        yield acc
-        acc = (acc + step) & mask
-
-
 def key_expand(z: tuple[int, ...], w: int) -> tuple[int, ...]:
     """64-word key schedule; equals (Z3, Z4, Z0, Z1, Z2) repeated."""
-    return tuple(islice(iter_key_words(z, w), KEY_SCHEDULE_LEN))
+    z = check_key(z, w)
+    return tuple(z[(k + 3) % KEY_WORDS] for k in range(KEY_SCHEDULE_LEN))
 
 
 def tweak_expand(t: tuple[int, ...], w: int) -> tuple[int, ...]:
     """32-word tweak schedule; C[k] = T[k mod 4]."""
-    return tuple(islice(iter_tweak_words(t, w), TWEAK_SCHEDULE_LEN))
+    t = check_tweak(t, w)
+    return tuple(t[k % TWEAK_WORDS] for k in range(TWEAK_SCHEDULE_LEN))
 
 
 def unit_expand(u: int, w: int) -> tuple[int, ...]:
     """64-word unit schedule; L[k] = U odot k = (2k+1)U + k mod 2**w."""
-    return tuple(islice(iter_unit_words(u, w), UNIT_SCHEDULE_LEN))
+    u = check_unit_key(u, w)
+    mask = (1 << w) - 1
+    step = 2 * u + 1
+    return tuple((u + k * step) & mask for k in range(UNIT_SCHEDULE_LEN))

@@ -5,14 +5,12 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
     T(j) = T0 odot j = 2*T0*j + T0 + j      (mod 2**(4w))
 
-which supports random access, and equivalently the running recurrence
-
-    T(j+1) = T(j) + 2*T0 + 1                (mod 2**(4w))
-
-for sequential work.  As odot is a group operation, j -> T(j) is injective,
-so no tweak repeats before 2**(4w) blocks; that bound is documented, not
-enforced.  Block indices live in a flat 4w-bit space; applications wanting
-structured indices pack them into j themselves.
+``tweak_at`` gives random access to any T(j); the batch entry points build
+the tweak rows of a run of blocks from its first T(j), adding 2*T0 + 1 per
+block.  As odot is a group operation, j -> T(j) is injective, so no tweak
+repeats before 2**(4w) blocks; that bound is documented, not enforced.
+Block indices live in a flat 4w-bit space; applications wanting structured
+indices pack them into j themselves.
 
 Wide values are ordinary Python ints in [0, 2**(4w)), converted to and from
 4-word little-endian tuples at the block boundary (``cipher.int_to_block``).
@@ -25,7 +23,7 @@ import numpy as np
 
 from .cipher import block_to_int, encrypt, int_to_block
 from .fastpath import affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
-from .words import check_cipher_width
+from .words import check_cipher_width, odot
 
 
 def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
@@ -39,13 +37,7 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
         # the message never quotes the value: a tweak key is key material
         if not isinstance(value, int) or not 0 <= value <= wm:
             raise ValueError(f"{name} must be an integer in [0, 2**{4 * w})")
-    return int_to_block((2 * tweak_key * index + tweak_key + index) & wm, w)
-
-
-def tweak_next(current: int, tweak_key: int, w: int) -> int:
-    """Advance a wide tweak value by one block: current + 2*tweak_key + 1."""
-    check_cipher_width(w)
-    return (current + 2 * tweak_key + 1) & ((1 << (4 * w)) - 1)
+    return int_to_block(odot(tweak_key, index, 4 * w), w)
 
 
 def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking: bool) -> np.ndarray:
@@ -84,8 +76,6 @@ def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
     returns the same kind.
     """
     xs, as_array = _blocks_in(blocks)
-    if xs.size == 0:
-        return _blocks_out(np.empty((0, 4), dtype=np.uint64), as_array)
     schedule = affine_expand(key, unit_key, w)
     ts = _tweak_rows(tweak_key, first_index, xs.shape[0], w, tweaking)
     return _blocks_out(crypt_fast_batch(xs, ts, schedule), as_array)
@@ -95,8 +85,6 @@ def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
                    tweaking: bool = True, first_index: int = 0):
     """Invert ``encrypt_blocks``; ``first_index`` gives random access to any slice."""
     ys, as_array = _blocks_in(blocks)
-    if ys.size == 0:
-        return _blocks_out(np.empty((0, 4), dtype=np.uint64), as_array)
     inverse = invert_affine(affine_expand(key, unit_key, w))
     ts = _tweak_rows(tweak_key, first_index, ys.shape[0], w, tweaking)
     return _blocks_out(icrypt_fast_batch(ys, ts, inverse), as_array)

@@ -48,7 +48,8 @@ def word_mask(w: int) -> int:
 
 def check_word(x: int, w: int, name: str = "word") -> int:
     if not isinstance(x, int) or x < 0 or x > word_mask(w):
-        raise ValueError(f"{name} must be an integer in [0, 2**{w}), got {x!r}")
+        # the message never quotes the value: key and unit-key words are key material
+        raise ValueError(f"{name} must be an integer in [0, 2**{w})")
     return x
 
 

@@ -18,7 +18,7 @@ from nsabc.container import HEADER_LEN, decrypt_bytes, encrypt_bytes, parse_head
 from nsabc.fastpath import affine_expand, crypt_fast, icrypt_fast, invert_affine
 from nsabc.kat import standard_trace, trace_matches_reference
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
-from nsabc.tweakstream import tweak_at, tweak_next
+from nsabc.tweakstream import _tweak_rows, tweak_at
 from nsabc.words import boxdot, boxdot_e, inv_e, mod_inverse, odot, odot_e
 
 WIDTHS = (16, 32, 64)
@@ -210,14 +210,15 @@ def test_criterion_7_tweak_derivation():
     for w in WIDTHS:
         rng = random.Random(0x70 + w)
         t0 = rng.randrange(1 << (4 * w))
-        value = t0
-        for j in range(10_000):
-            assert tweak_at(t0, j, w) == int_to_block(value, w)
-            value = tweak_next(value, t0, w)
+        top = 1 << (4 * w)
+        # the rows the batch paths encrypt under, from block 0 and across the wrap
+        for first, count in ((0, 10_000), (top - 1000, 2000)):
+            expected = [tweak_at(t0, (first + j) % top, w) for j in range(count)]
+            assert np.array_equal(_tweak_rows(t0, first, count, w, True), np.array(expected, dtype=np.uint64))
         for j in (0, 1, 999, 10_000, (1 << (4 * w)) - 1):
             assert tweak_at(0, j, w) == int_to_block(j, w)
-    report(7, "closed-form tweak == recurrence for j <= 10^4 per width; zero key yields the index",
-           time.perf_counter() - start)
+    report(7, "closed-form tweak == batch tweak rows for j < 10^4 and across the wrap per width; "
+           "zero key yields the index", time.perf_counter() - start)
 
 
 def test_criterion_8_container_roundtrip():

@@ -22,6 +22,8 @@ from nsabc.cipher import (
     schedule_inverse,
     swap_all_halves,
 )
+from nsabc.container import encrypt_bytes
+from nsabc.fastpath import affine_expand
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
 from nsabc.words import boxdot_e, inv_e
 
@@ -161,6 +163,30 @@ def test_encrypt_validates_inputs():
         encrypt((1 << 16, 0, 0, 0), z, t, u, 16)
     with pytest.raises(ValueError):
         encrypt(x[:3], z, t, u, 16)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_errors_never_quote_key_material(w, rng):
+    # a refused key word, unit key or tweak word is key material: no error
+    # message may quote it, in decimal or in hex
+    x, z, t, u = random_tuple(rng, w)
+    top = 1 << w
+    for bad in (top + 0xDEADBEEF, top * 0x1234567 + 0xABCDE, -0xC0FFEE15):
+        calls = (
+            lambda: encrypt(x, z[:4] + (bad,), t, u, w),
+            lambda: encrypt(x, z, t, bad, w),
+            lambda: encrypt(x, z, (bad,) + t[1:], u, w),
+            lambda: affine_expand(z[:4] + (bad,), u, w),
+            lambda: affine_expand(z, bad, w),
+            lambda: encrypt_bytes(b"secret", z[:4] + (bad,), 5, u, w),
+            lambda: encrypt_bytes(b"secret", z, 5, bad, w),
+            lambda: encrypt_bytes(b"secret", z, bad << (3 * w), u, w),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            for form in (str(abs(bad)), f"{abs(bad):x}", f"{abs(bad):X}"):
+                assert form not in str(err.value)
 
 
 def test_encrypt_injective_sampled():

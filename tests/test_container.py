@@ -85,6 +85,13 @@ def test_empty_input_produces_header_only(rng):
     assert len(blob) == HEADER_LEN
     assert parse_header(blob).plaintext_length == 0
     assert decrypt_bytes(blob, z, t0, u) == b""
+    # no octets is no reason to accept a bad key, tweak key or unit key
+    for key, tweak_key, unit_key in (("junk", t0, u), ((1, 2, 3, 4, 5), 2**300, u), (z, -5, u),
+                                     (z, t0, 2**40), (z, t0, -1)):
+        with pytest.raises(ValueError):
+            encrypt_bytes(b"", key, tweak_key, unit_key, 16)
+        with pytest.raises(ValueError):
+            decrypt_bytes(blob, key, tweak_key, unit_key)
 
 
 def test_tweak_mode_recorded_in_header(rng):

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words
-from nsabc._kernels import g_values, resolve_backend, v_gbox
-from nsabc.cipher import crypt, decrypt, gbox
-from nsabc.fastpath import (
-    OUTPUT_G_TERMS,
+from nsabc._kernels import (
     PARALLEL_STEPS,
     ROUND_G_TERMS,
     ROUND_TEXT_TERMS,
+    affine_gbox,
+    g_values,
+    resolve_backend,
+    v_gbox,
+)
+from nsabc.cipher import crypt, decrypt, gbox
+from nsabc.fastpath import (
     AffineSchedule,
     affine_expand,
-    affine_gbox,
     crypt_fast,
     crypt_fast_batch,
     icrypt_fast,

@@ -1,6 +1,4 @@
-"""Schedule generation: register procedures, closed forms, streaming."""
-
-from itertools import islice
+"""Schedules: published reference values, closed forms, validation."""
 
 import pytest
 
@@ -8,9 +6,6 @@ from nsabc.schedules import (
     check_key,
     check_tweak,
     check_unit_key,
-    iter_key_words,
-    iter_tweak_words,
-    iter_unit_words,
     key_expand,
     tweak_expand,
     unit_expand,
@@ -36,8 +31,6 @@ def test_unit_schedule_reference_values():
     l = unit_expand(U16, 16)
     assert l[:5] == (0x1998, 0x4CC9, 0x7FFA, 0xB32B, 0xE65C)
     assert l[63] == 0xB2A7
-    # one step past the schedule (the register keeps running)
-    assert next(islice(iter_unit_words(U16, 16), 64, None)) == 0xE5D8
 
 
 def test_key_schedule_closed_form():
@@ -73,28 +66,6 @@ def test_unit_schedule_closed_form(rng):
             assert len(l) == 64
             assert all(l[k] == ((2 * k + 1) * u + k) & mask for k in range(64))
     assert unit_expand(0, 16) == tuple(range(64))
-
-
-def test_streaming_equals_materialized():
-    for w in (16, 32, 64):
-        z = tuple((i + 1) * 7 & ((1 << w) - 1) for i in range(5))
-        t = tuple((i + 1) * 923 & ((1 << w) - 1) for i in range(4))
-        u = 0x1998 & ((1 << w) - 1)
-        assert tuple(islice(iter_key_words(z, w), 64)) == key_expand(z, w)
-        assert tuple(islice(iter_tweak_words(t, w), 32)) == tweak_expand(t, w)
-        assert tuple(islice(iter_unit_words(u, w), 64)) == unit_expand(u, w)
-    # short prefixes work too
-    assert tuple(islice(iter_key_words(Z16, 16), 10)) == key_expand(Z16, 16)[:10]
-
-
-def test_generators_are_independent():
-    a = iter_unit_words(U16, 16)
-    b = iter_unit_words(U16, 16)
-    assert next(a) == next(b)
-    next(a)
-    next(a)
-    # b is unaffected by advancing a
-    assert next(b) == unit_expand(U16, 16)[1]
 
 
 def test_input_validation():

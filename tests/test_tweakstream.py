@@ -6,7 +6,7 @@ import pytest
 from conftest import random_tuple, random_words
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import decrypt_blocks, encrypt_blocks, tweak_at, tweak_next
+from nsabc.tweakstream import _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -19,6 +19,8 @@ def test_wide_word_packing():
 
 def test_tweak_at_index_zero_is_the_tweak_key():
     assert tweak_at(T0_16, 0, 16) == int_to_block(T0_16, 16)
+    # one block on, the tweak is 3*T0 + 1
+    assert tweak_at(T0_16, 1, 16) == int_to_block((3 * T0_16 + 1) % (1 << 64), 16)
 
 
 def test_tweak_at_zero_key_yields_index():
@@ -26,20 +28,15 @@ def test_tweak_at_zero_key_yields_index():
         assert tweak_at(0, j, 16) == int_to_block(j, 16)
 
 
-def test_tweak_next_examples():
-    # zero key degenerates to a counter
-    assert tweak_next(41, 0, 16) == 42
-    # one step from the start equals 3*T0 + 1
-    assert tweak_next(T0_16, T0_16, 16) == (3 * T0_16 + 1) % (1 << 64)
-
-
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_closed_form_equals_recurrence(w, rng):
+    # the rows the batch paths encrypt under are the closed form of each block
+    # index, also for a run that crosses the wrap at 2**(4w)
     t0 = rng.randrange(1 << (4 * w))
-    value = t0
-    for j in range(2000):
-        assert tweak_at(t0, j, w) == int_to_block(value, w)
-        value = tweak_next(value, t0, w)
+    top = 1 << (4 * w)
+    for first in (0, top - 1000):
+        expected = [tweak_at(t0, (first + j) % top, w) for j in range(2000)]
+        assert np.array_equal(_tweak_rows(t0, first, 2000, w, True), np.array(expected, dtype=np.uint64))
 
 
 def test_tweak_injective_prefix(rng):
@@ -158,3 +155,13 @@ def test_array_in_array_out(rng):
 def test_empty_sequence(rng):
     _, z, _, u = random_tuple(rng, 16)
     assert encrypt_blocks([], z, 5, u, 16) == []
+    assert decrypt_blocks([], z, 5, u, 16) == []
+    empty = np.empty((0, 4), dtype=np.uint64)
+    assert encrypt_blocks(empty, z, 5, u, 16).shape == (0, 4)
+    # no blocks is no reason to accept a bad key, tweak key or unit key
+    for key, tweak_key, unit_key in (("junk", 5, u), ((1, 2, 3), 5, u), (z, 2**300, u), (z, -5, u),
+                                     (z, 5, 2**40), (z, 5, -1)):
+        for fn in (encrypt_blocks, decrypt_blocks):
+            for blocks in ([], empty):
+                with pytest.raises(ValueError):
+                    fn(blocks, key, tweak_key, unit_key, 16)
