@@ -1,15 +1,11 @@
-"""Vectorized numpy word algebra and the one fast block transform.
+"""The one fast block transform.
 
-The word algebra works on ``uint64`` arrays regardless of the cipher width:
-values are kept masked to w bits and every operation is a ring operation, so
-doing the arithmetic mod 2**64 and masking afterwards is exact for every
-supported width (and at w=64 the masking is the native wraparound itself).
-
-The block transform evaluates the 32 rounds through their dependency graph in
-20 steps.  The graph is derived at import by running the cipher's round
-relation on XOR-sets of symbols, so all widths share a single definition, and
-one evaluator walks it for a single block of Python ints and for a batch of
-uint64 columns alike.
+The 32 rounds are evaluated through their dependency graph in 20 steps.  The
+graph is derived at import by running the cipher's round relation on XOR-sets
+of symbols, so all widths share a single definition, and one evaluator walks
+it for a single block of Python ints and for a batch of uint64 columns alike.
+The word algebra the G-box is built from is ``nsabc.words``, which takes ints
+and arrays the same way.
 """
 
 from __future__ import annotations
@@ -25,90 +21,6 @@ from .cipher import round_update
 def resolve_backend() -> str:
     """Name of the batch kernel implementation; numpy is the only one."""
     return "numpy"
-
-
-def _u64(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.uint64)
-
-
-def _wrapping():
-    # Wraparound mod 2**64 is the intended semantics of every kernel, but
-    # numpy warns when it occurs on 0-d (scalar-like) operands; silence that.
-    return np.errstate(over="ignore")
-
-
-def v_mask(w: int) -> np.uint64:
-    return np.uint64((1 << w) - 1)
-
-
-# ---------------------------------------------------------------------------
-# vectorized word algebra (numpy; used by analysis and the exhaustive sweeps)
-
-_ONE = np.uint64(1)
-_TWO = np.uint64(2)
-
-
-def v_swap_halves(x, w: int):
-    half = np.uint64(w >> 1)
-    msk = v_mask(w)
-    x = _u64(x) & msk
-    return ((x << half) | (x >> half)) & msk
-
-
-def v_odot(x, y, w: int):
-    x, y = _u64(x), _u64(y)
-    with _wrapping():
-        return (_TWO * x * y + x + y) & v_mask(w)
-
-
-def v_boxdot(x, y, w: int):
-    x, y = _u64(x), _u64(y)
-    with _wrapping():
-        return (_TWO * x * y + x - y) & v_mask(w)
-
-
-def v_odot_e(x, y, e, w: int):
-    x, y, e = _u64(x), _u64(y), _u64(e)
-    with _wrapping():
-        return (_TWO * x * y + (_ONE - _TWO * e) * (x + y - e)) & v_mask(w)
-
-
-def v_boxdot_e(x, y, e, w: int):
-    x, y, e = _u64(x), _u64(y), _u64(e)
-    with _wrapping():
-        return (_TWO * x * y + (_ONE - _TWO * e) * (x - y + e)) & v_mask(w)
-
-
-def v_mod_inverse(x, w: int):
-    """Newton-Hensel inverse of odd x; callers guarantee oddness."""
-    msk = v_mask(w)
-    x = _u64(x)
-    with _wrapping():
-        y = (_TWO - x) & msk
-        for _ in range((w - 1).bit_length() - 1):
-            y = (y * (_TWO - x * y)) & msk
-    return y
-
-
-def v_odot_inverse(x, w: int):
-    x = _u64(x)
-    msk = v_mask(w)
-    with _wrapping():
-        return (-x * v_mod_inverse((_TWO * x + _ONE) & msk, w)) & msk
-
-
-def v_inv_e(x, e, w: int):
-    x, e = _u64(x), _u64(e)
-    msk = v_mask(w)
-    with _wrapping():
-        return (v_odot_inverse((x - e) & msk, w) + e) & msk
-
-
-def v_gbox(x, k0, k1, l0, l1, c0, w: int):
-    """G-box over an array of text words with broadcastable parameters."""
-    x = v_swap_halves(v_boxdot_e(x, k0, l0, w), w)
-    x = x ^ _u64(c0)
-    return v_swap_halves(v_boxdot_e(x, k1, l1, w), w)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import v_gbox
+from .cipher import gbox
 from .fastpath import affine_expand, crypt_fast_batch
 
 AVALANCHE_LOW, AVALANCHE_HIGH = 0.45, 0.55
@@ -50,6 +50,18 @@ def _require_w16(w: int, name: str) -> None:
         raise ValueError(f"{name} sweeps the full word space exhaustively and needs --width 16")
 
 
+def _seeded(samples: int, seed: int | None) -> random.Random:
+    """The random source of a check; a check with no samples would test nothing."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    return random.Random(seed)
+
+
+def _lift(*words) -> np.ndarray:
+    """Int words as 1-element uint64 arrays, to pass alongside a swept array."""
+    return np.array(words, dtype=np.uint64)[:, None]
+
+
 def _param_sets(rng: random.Random, w: int, count: int):
     top = 1 << w
     return [tuple(rng.randrange(top) for _ in range(5)) for _ in range(count)]
@@ -58,13 +70,14 @@ def _param_sets(rng: random.Random, w: int, count: int):
 def gbox_bijectivity(w: int = 16, samples: int = 8, seed: int | None = None) -> AnalysisReport:
     """Exhaustively verify G permutes both the text word and the key word K0."""
     _require_w16(w, "gbox-bijectivity")
-    rng = random.Random(seed)
+    rng = _seeded(samples, seed)
     sweep = np.arange(1 << w, dtype=np.uint64)
     report = AnalysisReport("gbox-bijectivity", w, True)
     for k0, k1, l0, l1, c0 in _param_sets(rng, w, samples):
-        x_perm = np.unique(v_gbox(sweep, k0, k1, l0, l1, c0, w)).size == 1 << w
         x0 = rng.randrange(1 << w)
-        k_perm = np.unique(v_gbox(x0, sweep, k1, l0, l1, c0, w)).size == 1 << w
+        words = _lift(x0, k0, k1, l0, l1, c0)
+        x_perm = np.unique(gbox(sweep, *words[1:], w)).size == 1 << w
+        k_perm = np.unique(gbox(words[0], sweep, *words[2:], w)).size == 1 << w
         report.ok &= x_perm and k_perm
         report.lines.append(
             f"params K=({k0:04X},{k1:04X}) L=({l0:04X},{l1:04X}) C={c0:04X}: "
@@ -75,15 +88,16 @@ def gbox_bijectivity(w: int = 16, samples: int = 8, seed: int | None = None) -> 
 def gbox_diffusion(w: int = 16, samples: int = 8, seed: int | None = None) -> AnalysisReport:
     """Exhaustively verify the unaffected output bit range w/2..v-1 per input bit v."""
     _require_w16(w, "gbox-diffusion")
-    rng = random.Random(seed)
+    rng = _seeded(samples, seed)
     half = w // 2
     sweep = np.arange(1 << w, dtype=np.uint64)
     report = AnalysisReport("gbox-diffusion", w, True)
     for k0, k1, l0, l1, c0 in _param_sets(rng, w, samples):
-        base = v_gbox(sweep, k0, k1, l0, l1, c0, w)
+        params = _lift(k0, k1, l0, l1, c0)
+        base = gbox(sweep, *params, w)
         worst = []
         for v in range(half + 1, w):
-            flipped = v_gbox(sweep ^ np.uint64(1 << v), k0, k1, l0, l1, c0, w)
+            flipped = gbox(sweep ^ np.uint64(1 << v), *params, w)
             protected = np.uint64(((1 << (v - half)) - 1) << half)
             hit = bool(np.any((base ^ flipped) & protected))
             if hit:
@@ -98,13 +112,13 @@ def gbox_diffusion(w: int = 16, samples: int = 8, seed: int | None = None) -> An
 def gbox_identity(w: int = 16, samples: int = 8, seed: int | None = None) -> AnalysisReport:
     """Exhaustively verify G is the identity when (K0,K1)=(L0,L1) and C0=0."""
     _require_w16(w, "gbox-identity")
-    rng = random.Random(seed)
+    rng = _seeded(samples, seed)
     sweep = np.arange(1 << w, dtype=np.uint64)
     report = AnalysisReport("gbox-identity", w, True)
     for _ in range(samples):
         c = rng.randrange(1 << w)
         c2 = rng.randrange(1 << w)
-        is_id = bool(np.all(v_gbox(sweep, c, c2, c, c2, 0, w) == sweep))
+        is_id = bool(np.all(gbox(sweep, *_lift(c, c2, c, c2, 0), w) == sweep))
         report.ok &= is_id
         report.lines.append(f"K=L=({c:04X},{c2:04X}) C=0: identity={is_id}")
     return report
@@ -117,9 +131,7 @@ def avalanche(w: int = 16, samples: int = 10_000, seed: int | None = None) -> An
     flipping plaintext bit v flips ciphertext bit b, and flags cells outside
     [0.45, 0.55] once at least 10**4 samples back each cell.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = random.Random(seed)
+    rng = _seeded(samples, seed)
     bits = 4 * w
 
     # row v of this matrix XORed onto a block flips plaintext bit v

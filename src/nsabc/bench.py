@@ -11,6 +11,7 @@ one enforced expectation is fast path >= reference on the same machine.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -47,18 +48,18 @@ class BenchResult:
         return hz * self.seconds / (self.blocks * (self.width // 2))
 
 
-def estimate_cpu_hz() -> float | None:
-    """Best-effort CPU frequency for cycles/byte estimates."""
+def estimate_cpu_hz() -> tuple[float, str] | None:
+    """Best-effort CPU frequency for cycles/byte estimates, with the source it was read from."""
     try:
         with open("/sys/devices/system/cpu/cpu0/cpufreq/scaling_max_freq") as fh:
-            return float(fh.read().strip()) * 1e3
+            return float(fh.read().strip()) * 1e3, "nominal ceiling, cpufreq scaling_max_freq"
     except OSError:
         pass
     try:
         with open("/proc/cpuinfo") as fh:
             for line in fh:
                 if line.lower().startswith("cpu mhz"):
-                    return float(line.split(":", 1)[1]) * 1e6
+                    return float(line.split(":", 1)[1]) * 1e6, "current speed, /proc/cpuinfo cpu MHz"
     except OSError:
         pass
     return None
@@ -80,8 +81,8 @@ def _measure(fn, seconds: float, blocks_per_call: int) -> tuple[int, float]:
 def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
     """Benchmark the reference, scalar fast and batch paths at one width."""
     check_cipher_width(w)
-    if seconds <= 0:
-        raise ValueError("benchmark duration must be positive")
+    if not 0 < seconds < math.inf:  # also false for nan
+        raise ValueError("benchmark duration must be a positive finite number of seconds")
     rng = random.Random(seed)
     top = 1 << w
     z = tuple(rng.randrange(top) for _ in range(5))
@@ -103,11 +104,14 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
     ]
 
 
-def render_report(results: list[BenchResult], hz: float | None) -> str:
+def render_report(results: list[BenchResult], clock: tuple[float, str] | None) -> str:
+    """``clock`` is the (hz, source) pair of ``estimate_cpu_hz``."""
     lines = []
-    if hz is not None:
-        lines.append(f"cycles/byte estimated from a nominal {hz / 1e9:.2f} GHz clock")
+    if clock is not None:
+        hz, source = clock
+        lines.append(f"cycles/byte estimated from a {hz / 1e9:.2f} GHz clock ({source})")
     else:
+        hz = None
         lines.append("no CPU frequency source found; cycles/byte omitted")
     lines.append(f"context: {HAND_TUNED_CPB_CONTEXT}")
     lines.append("")

@@ -76,8 +76,7 @@ def bytes_to_block(data: bytes, w: int) -> Block:
 
 def gbox(x: int, k0: int, k1: int, l0: int, l1: int, c0: int, w: int) -> int:
     """Two quasi-group half-rounds with half-word swaps and a tweak XOR between."""
-    x = swap_halves(boxdot_e(x, k0, l0, w), w)
-    x ^= c0
+    x = swap_halves(boxdot_e(x, k0, l0, w), w) ^ c0
     return swap_halves(boxdot_e(x, k1, l1, w), w)
 
 

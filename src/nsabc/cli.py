@@ -128,11 +128,12 @@ def cmd_kat(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.seconds is not None and args.seconds <= 0:
-        raise UsageError("--seconds must be positive")
     widths = (args.width,) if args.width is not None else bench.DEFAULT_WIDTHS
     seconds = args.seconds if args.seconds is not None else 1.0
-    report, _ = bench.run(widths, seconds, seed=args.seed or 0)
+    try:
+        report, _ = bench.run(widths, seconds, seed=args.seed or 0)
+    except ValueError as ex:
+        raise UsageError(str(ex)) from ex
     print(report)
     return EXIT_OK
 

@@ -39,6 +39,11 @@ class AffineSchedule:
         check_cipher_width(self.width)
         if len(self.m) != 64 or len(self.n) != 64:
             raise ValueError("affine schedule needs exactly 64 (m, n) pairs")
+        words = (*self.m, *self.n)
+        # the scalar path would reduce a wider word and the batch path refuse it; the
+        # message never quotes a word, as the words are derived from the key
+        if set(map(type, words)) != {int} or min(words) < 0 or max(words) >> self.width:
+            raise ValueError(f"affine schedule words must be integers in [0, 2**{self.width})")
         if any(not mi & 1 for mi in self.m):
             raise ValueError("every affine multiplier must be odd")
 

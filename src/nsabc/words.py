@@ -1,8 +1,18 @@
 """Word-level modular arithmetic and the quasi-group operations of the cipher.
 
-Everything here operates on plain Python ints interpreted as unsigned words of
-an explicit even bit width ``w``.  Additive/multiplicative operations are
-reduced mod 2**w, bit operations act on w bits, rotation is cyclic on w bits.
+Everything here operates on unsigned words of an explicit even bit width
+``w``.  Additive/multiplicative operations are reduced mod 2**w and bit
+operations act on w bits.
+
+One definition serves single words and many words at once, here and in
+``cipher.gbox``.  In one call, either every operand is a Python int, or every
+operand is a ``uint64`` numpy array with at least one dimension (arrays
+broadcast).  Only ring operations, shifts and masks are used, so arithmetic mod
+2**64 followed by the w-bit mask is exact at every width.  A call that mixes
+the two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
+when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
+arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
+their arithmetic wraps.
 
 The two core operations are
 
@@ -20,6 +30,8 @@ exhaustive property checks; the cipher layer restricts itself to 16/32/64.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MIN_WIDTH = 2
 MAX_WIDTH = 64
@@ -74,10 +86,11 @@ def mod_inverse(x: int, w: int) -> int:
 
     Starts from y = 2 - x (exact mod 4) and applies y <- y*(2 - x*y), which
     doubles the correct bit count each time.  Even x has no inverse and is
-    rejected rather than silently mis-inverted: decryption depends on it.
+    rejected rather than silently mis-inverted: decryption depends on it.  An
+    array is rejected if any element is even.
     """
-    if not x & 1:
-        raise ValueError(f"no inverse mod 2**{w} for even value {x!r}")
+    if not (np.all(x & 1) if isinstance(x, np.ndarray) else x & 1):
+        raise ValueError(f"no inverse mod 2**{w} for an even value")
     mask = (1 << w) - 1
     y = (2 - x) & mask
     for _ in range(newton_steps(w)):
@@ -111,5 +124,5 @@ def swap_halves(x: int, w: int) -> int:
     """Rotate by w/2, i.e. exchange the high and low order halves."""
     h = w >> 1
     mask = (1 << w) - 1
-    x &= mask
+    x = x & mask
     return ((x << h) | (x >> h)) & mask

@@ -10,10 +10,9 @@ import time
 
 import numpy as np
 
-from conftest import random_tuple
-from nsabc import _kernels as vk
+from conftest import lift, random_tuple
 from nsabc.bench import bench_width, estimate_cpu_hz, render_report
-from nsabc.cipher import block_to_int, crypt, decrypt, encrypt, int_to_block
+from nsabc.cipher import block_to_int, crypt, decrypt, encrypt, gbox, int_to_block
 from nsabc.container import HEADER_LEN, decrypt_bytes, encrypt_bytes, parse_header
 from nsabc.fastpath import affine_expand, crypt_fast, icrypt_fast, invert_affine
 from nsabc.kat import standard_trace, trace_matches_reference
@@ -99,27 +98,27 @@ def test_criterion_4_algebra_suite():
     neg = (-gx) & m8
 
     # sign relations, exhaustive
-    assert np.array_equal(vk.v_odot(gx, gy, w8), (-vk.v_boxdot(neg, gy, w8)) & m8)
-    assert np.array_equal(vk.v_boxdot(gx, gy, w8), (-vk.v_odot(neg, gy, w8)) & m8)
+    assert np.array_equal(odot(gx, gy, w8), (-boxdot(neg, gy, w8)) & m8)
+    assert np.array_equal(boxdot(gx, gy, w8), (-odot(neg, gy, w8)) & m8)
 
     # complement relations, exhaustive (plain and e-family)
-    assert np.array_equal(vk.v_odot(~gx & m8, gy, w8), ~vk.v_odot(gx, gy, w8) & m8)
-    assert np.array_equal(vk.v_boxdot((1 - gx) & m8, gy, w8), (1 - vk.v_boxdot(gx, gy, w8)) & m8)
+    assert np.array_equal(odot(~gx & m8, gy, w8), ~odot(gx, gy, w8) & m8)
+    assert np.array_equal(boxdot((1 - gx) & m8, gy, w8), (1 - boxdot(gx, gy, w8)) & m8)
     for e in range(256):
         c = np.uint64((1 - 2 * e) & 0xFF)
-        assert np.array_equal(vk.v_boxdot_e((c - gx) & m8, gy, e, w8),
-                              (c - vk.v_boxdot_e(gx, gy, e, w8)) & m8)
+        assert np.array_equal(boxdot_e((c - gx) & m8, gy, lift(e), w8),
+                              (c - boxdot_e(gx, gy, lift(e), w8)) & m8)
 
     # mixed associativity, exhaustive
-    bd = vk.v_boxdot(gx, gy, w8)
+    bd = boxdot(gx, gy, w8)
     for z in range(256):
-        assert np.array_equal(vk.v_boxdot(bd, z, w8), vk.v_boxdot(gx, vk.v_odot(gy, z, w8), w8))
+        assert np.array_equal(boxdot(bd, z, w8), boxdot(gx, odot(gy, z, w8), w8))
 
     # e-family right-inverse law, exhaustive over (x, y, e)
     for e in range(256):
-        y_inv = vk.v_inv_e(all8, e, w8)
+        y_inv = inv_e(all8, lift(e), w8)
         assert np.array_equal(
-            vk.v_boxdot_e(vk.v_boxdot_e(gx, gy, e, w8), y_inv[None, :], e, w8), gx)
+            boxdot_e(boxdot_e(gx, gy, lift(e), w8), y_inv[None, :], lift(e), w8), gx)
 
     # e-family associativity law, exhaustive over all 2**32 quadruples via the
     # affine reduction: first pin x bd[e] y == m(y,e)x + n(y,e) for every
@@ -131,9 +130,9 @@ def test_criterion_4_algebra_suite():
             eu = np.uint64(e)
             m_of = lambda y: (two * (y - eu) + one) & m8
             n_of = lambda y: ((two * eu - one) * (y - eu)) & m8
-            assert np.array_equal(vk.v_boxdot_e(gx, gy, e, w8),
+            assert np.array_equal(boxdot_e(gx, gy, lift(e), w8),
                                   (gx * m_of(all8)[None, :] + n_of(all8)[None, :]) & m8)
-            yz = vk.v_odot_e(gx, gy, e, w8)
+            yz = odot_e(gx, gy, lift(e), w8)
             my, ny = m_of(all8)[:, None], n_of(all8)[:, None]
             mz, nz = m_of(all8)[None, :], n_of(all8)[None, :]
             assert np.array_equal((mz * my) & m8, m_of(yz))
@@ -165,7 +164,7 @@ def test_criterion_5_mod_inverse():
     start = time.perf_counter()
     odd = np.arange(1, 1 << 16, 2, dtype=np.uint64)
     assert odd.size == 1 << 15
-    assert np.all((odd * vk.v_mod_inverse(odd, 16)) & np.uint64(0xFFFF) == 1)
+    assert np.all((odd * mod_inverse(odd, 16)) & np.uint64(0xFFFF) == 1)
     # same property through the scalar Newton lifting on an odd slice
     for x in range(1, 4096, 34):
         assert (x * mod_inverse(x, 16)) & 0xFFFF == 1
@@ -185,22 +184,22 @@ def test_criterion_6_gbox_structural_notes():
     rng = random.Random(0xB0)
     sweep = np.arange(1 << w, dtype=np.uint64)
     for _ in range(8):
-        k0, k1, l0, l1, c0 = (rng.randrange(1 << w) for _ in range(5))
+        k0, k1, l0, l1, c0 = (lift(rng.randrange(1 << w)) for _ in range(5))
         # bijective in the text word and in the first key word
-        assert np.unique(vk.v_gbox(sweep, k0, k1, l0, l1, c0, w)).size == 1 << w
-        x0 = rng.randrange(1 << w)
-        assert np.unique(vk.v_gbox(x0, sweep, k1, l0, l1, c0, w)).size == 1 << w
+        assert np.unique(gbox(sweep, k0, k1, l0, l1, c0, w)).size == 1 << w
+        x0 = lift(rng.randrange(1 << w))
+        assert np.unique(gbox(x0, sweep, k1, l0, l1, c0, w)).size == 1 << w
         # diffusion bound: flipping input bit v never touches output bits
         # half..v-1, for every v strictly between w/2 and w
-        base = vk.v_gbox(sweep, k0, k1, l0, l1, c0, w)
+        base = gbox(sweep, k0, k1, l0, l1, c0, w)
         for v in range(half + 1, w):
-            flipped = vk.v_gbox(sweep ^ np.uint64(1 << v), k0, k1, l0, l1, c0, w)
+            flipped = gbox(sweep ^ np.uint64(1 << v), k0, k1, l0, l1, c0, w)
             protected = np.uint64(((1 << (v - half)) - 1) << half)
             assert not np.any((base ^ flipped) & protected)
     # identity case over exhaustive x for sampled parameter pairs
     for _ in range(8):
-        c, c2 = rng.randrange(1 << w), rng.randrange(1 << w)
-        assert np.all(vk.v_gbox(sweep, c, c2, c, c2, 0, w) == sweep)
+        c, c2 = lift(rng.randrange(1 << w)), lift(rng.randrange(1 << w))
+        assert np.all(gbox(sweep, c, c2, c, c2, lift(0), w) == sweep)
     report(6, "G-box bijectivity (x and K0), identity case, and diffusion bound, exhaustive at w=16",
            time.perf_counter() - start)
 

@@ -76,6 +76,18 @@ def test_usage_errors(tmp_path, capsys):
     assert run("bench", "--seconds", "0") == EXIT_USAGE
     # exhaustive analyze at an unsupported width
     assert run("analyze", "gbox-identity", "--width", "32") == EXIT_USAGE
+    # an analysis with no samples would check nothing
+    for check in ("gbox-bijectivity", "gbox-diffusion", "gbox-identity", "avalanche"):
+        for samples in ("0", "-3"):
+            assert run("analyze", check, "--samples", samples) == EXIT_USAGE
+            assert "[PASS]" not in capsys.readouterr().out
+
+
+def test_bench_refuses_non_finite_seconds(capsys):
+    # a duration the timing loop can never reach
+    for seconds in ("nan", "inf", "-inf"):
+        assert run("bench", "--width", "16", f"--seconds={seconds}") == EXIT_USAGE
+        assert "seconds" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

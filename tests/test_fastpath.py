@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_tuple, random_words
+from conftest import lift, random_tuple, random_words
 from nsabc._kernels import (
     PARALLEL_STEPS,
     ROUND_G_TERMS,
@@ -13,7 +13,6 @@ from nsabc._kernels import (
     affine_gbox,
     g_values,
     resolve_backend,
-    v_gbox,
 )
 from nsabc.cipher import crypt, decrypt, gbox
 from nsabc.fastpath import (
@@ -140,7 +139,7 @@ def test_affine_gbox_equals_gbox(w):
     n1 = ((2 * l1 - 1) * (k1 - l1)) & mask
     # the array form: uint64 text column, np.uint64 tweak and constants
     m0u, m1u, n0u, n1u, c0u = (np.uint64(v) for v in (m0, m1, n0, n1, c0))
-    assert np.array_equal(v_gbox(xs, k0, k1, l0, l1, c0, w),
+    assert np.array_equal(gbox(xs, *map(lift, (k0, k1, l0, l1, c0)), w),
                           affine_gbox(xs, c0u, m0u, m1u, n0u, n1u, w))
     # scalar spot checks of the same correspondence
     sr = random.Random(w)
@@ -156,6 +155,17 @@ def test_affine_schedule_validation():
         AffineSchedule(16, (1,) * 63, (0,) * 63)          # wrong length
     with pytest.raises(ValueError):
         AffineSchedule(8, (1,) * 64, (0,) * 64)           # not a cipher width
+    # every word is an int in [0, 2**w); the message never quotes it
+    for w, field, bad in ((16, "m", 1 + (1 << 16)), (16, "n", -1), (64, "m", 1 + (1 << 64)),
+                          (32, "n", (1 << 32) + 12345), (16, "n", 0.5), (16, "m", np.uint64(12345))):
+        words = {"m": [1] * 64, "n": [0] * 64}
+        words[field][0] = bad
+        with pytest.raises(ValueError) as ex:
+            AffineSchedule(w, tuple(words["m"]), tuple(words["n"]))
+        assert str(bad) not in str(ex.value)
+    for w in (16, 32, 64):
+        top = (1 << w) - 1
+        assert AffineSchedule(w, (top,) * 64, (top,) * 64).m[0] == top
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Word algebra: the defining formulas, group laws and identities.
 
-Exhaustive sweeps run at w=8 (and w=16 where stated) through the vectorized
-twins of the scalar operations; the twins themselves are pinned to the scalar
-definitions exhaustively at w=8 first, so the sweeps test the same semantics.
+Each operation has one definition that takes Python ints or uint64 arrays.
+Exhaustive sweeps run at w=8 (and w=16 where stated) as array calls; array
+calls are pinned to int calls of the same functions exhaustively at w=8 and
+sampled at w=16/32/64 first, so the sweeps test the int semantics.
 """
 
 import random
@@ -10,7 +11,8 @@ import random
 import numpy as np
 import pytest
 
-from nsabc import _kernels as vk
+from conftest import lift
+from nsabc.cipher import gbox
 from nsabc.words import (
     boxdot,
     boxdot_e,
@@ -33,22 +35,22 @@ def sample_words(rng, n, w):
 
 
 # ---------------------------------------------------------------------------
-# scalar <-> vectorized agreement (the vectorized ops back all big sweeps)
+# int <-> array agreement (array calls back all big sweeps)
 
 
 def test_vector_ops_match_scalar_exhaustive_w8():
     e = 0xA7
-    assert np.array_equal(vk.v_odot(GX, GY, W8).ravel(),
+    assert np.array_equal(odot(GX, GY, W8).ravel(),
                           np.array([odot(x, y, W8) for x in range(256) for y in range(256)], dtype=np.uint64))
-    assert np.array_equal(vk.v_boxdot(GX, GY, W8).ravel(),
+    assert np.array_equal(boxdot(GX, GY, W8).ravel(),
                           np.array([boxdot(x, y, W8) for x in range(256) for y in range(256)], dtype=np.uint64))
-    assert np.array_equal(vk.v_boxdot_e(GX, GY, e, W8).ravel(),
+    assert np.array_equal(boxdot_e(GX, GY, lift(e), W8).ravel(),
                           np.array([boxdot_e(x, y, e, W8) for x in range(256) for y in range(256)], dtype=np.uint64))
-    assert np.array_equal(vk.v_odot_e(GX, GY, e, W8).ravel(),
+    assert np.array_equal(odot_e(GX, GY, lift(e), W8).ravel(),
                           np.array([odot_e(x, y, e, W8) for x in range(256) for y in range(256)], dtype=np.uint64))
-    assert np.array_equal(vk.v_inv_e(ALL8, e, W8),
+    assert np.array_equal(inv_e(ALL8, lift(e), W8),
                           np.array([inv_e(x, e, W8) for x in range(256)], dtype=np.uint64))
-    assert np.array_equal(vk.v_swap_halves(ALL8, W8),
+    assert np.array_equal(swap_halves(ALL8, W8),
                           np.array([swap_halves(x, W8) for x in range(256)], dtype=np.uint64))
 
 
@@ -58,14 +60,14 @@ def test_vector_ops_match_scalar_sampled(w, rng):
     ys = sample_words(rng, 500, w)
     es = sample_words(rng, 500, w)
     xa, ya, ea = (np.array(v, dtype=np.uint64) for v in (xs, ys, es))
-    assert np.array_equal(vk.v_odot(xa, ya, w),
+    assert np.array_equal(odot(xa, ya, w),
                           np.array([odot(x, y, w) for x, y in zip(xs, ys)], dtype=np.uint64))
-    assert np.array_equal(vk.v_boxdot_e(xa, ya, ea, w),
+    assert np.array_equal(boxdot_e(xa, ya, ea, w),
                           np.array([boxdot_e(x, y, e, w) for x, y, e in zip(xs, ys, es)], dtype=np.uint64))
-    assert np.array_equal(vk.v_inv_e(xa, ea, w),
+    assert np.array_equal(inv_e(xa, ea, w),
                           np.array([inv_e(x, e, w) for x, e in zip(xs, es)], dtype=np.uint64))
     odd = np.array([x | 1 for x in xs], dtype=np.uint64)
-    assert np.array_equal(vk.v_mod_inverse(odd, w),
+    assert np.array_equal(mod_inverse(odd, w),
                           np.array([mod_inverse(x | 1, w) for x in xs], dtype=np.uint64))
 
 
@@ -97,7 +99,7 @@ def test_boxdot_right_inverse_ey():
 
 def test_odot_inverse_exhaustive_w16():
     sweep = np.arange(1 << 16, dtype=np.uint64)
-    assert np.all(vk.v_odot(sweep, vk.v_odot_inverse(sweep, 16), 16) == 0)
+    assert np.all(odot(sweep, odot_inverse(sweep, 16), 16) == 0)
 
 
 def test_odot_inverse_brute_force_w8():
@@ -116,11 +118,16 @@ def test_mod_inverse_values():
         mod_inverse(4, 16)
     with pytest.raises(ValueError):
         mod_inverse(0, 8)
+    # an array is refused if any element is even, and the value is not quoted
+    for even in ([0xBEEE], [3, 0xBEEE, 5]):
+        with pytest.raises(ValueError) as ex:
+            mod_inverse(np.array(even, dtype=np.uint64), 16)
+        assert "48878" not in str(ex.value) and "BEEE" not in str(ex.value).upper()
 
 
 def test_mod_inverse_exhaustive_w16():
     odd = np.arange(1, 1 << 16, 2, dtype=np.uint64)
-    assert np.all((odd * vk.v_mod_inverse(odd, 16)) & np.uint64(0xFFFF) == 1)
+    assert np.all((odd * mod_inverse(odd, 16)) & np.uint64(0xFFFF) == 1)
 
 
 def test_newton_step_counts():
@@ -145,6 +152,23 @@ def test_swap_halves():
         assert swap_halves(swap_halves(x, 8), 8) == x
 
 
+def test_array_contract():
+    # operands are never written, not even their bits above w
+    x = np.array([0x1FFFF, 3], dtype=np.uint64)
+    assert np.array_equal(swap_halves(x, 16), [0xFFFF, 0x0300])
+    assert np.array_equal(x, [0x1FFFF, 3])
+    params = [lift(v) for v in (0x5A, 0xC3, 0x17, 0xE8, 0x3D)]
+    xs = ALL8.copy()
+    out = gbox(xs, *params, W8)
+    assert np.array_equal(xs, ALL8)
+    assert [int(p[0]) for p in params] == [0x5A, 0xC3, 0x17, 0xE8, 0x3D]
+    assert out.tolist() == [gbox(v, 0x5A, 0xC3, 0x17, 0xE8, 0x3D, W8) for v in range(256)]
+    # mixing kinds gives the exact result or an OverflowError, never a wrong value
+    assert np.array_equal(odot(ALL8, 0xA7, W8), odot(ALL8, lift(0xA7), W8))
+    with pytest.raises(OverflowError):
+        boxdot_e(ALL8, ALL8, 0xA7, W8)
+
+
 def test_check_width():
     for bad in (0, 1, 3, 65, 66, -2):
         with pytest.raises(ValueError):
@@ -157,21 +181,21 @@ def test_check_width():
 
 
 def test_odot_group_laws_exhaustive_w8():
-    table = vk.v_odot(GX, GY, W8)
+    table = odot(GX, GY, W8)
     # commutativity and unit
     assert np.array_equal(table, table.T)
     assert np.array_equal(table[:, 0], ALL8)
     # inverses
-    assert np.all(vk.v_odot(ALL8, vk.v_odot_inverse(ALL8, W8), W8) == 0)
+    assert np.all(odot(ALL8, odot_inverse(ALL8, W8), W8) == 0)
     # associativity, one z slice at a time over the full (x, y) grid
     for z in range(256):
-        lhs = vk.v_odot(table, z, W8)
-        rhs = vk.v_odot(GX, vk.v_odot(GY, z, W8), W8)
+        lhs = odot(table, z, W8)
+        rhs = odot(GX, odot(GY, z, W8), W8)
         assert np.array_equal(lhs, rhs)
 
 
 def test_quasigroup_translations_bijective_exhaustive_w8():
-    bd = vk.v_boxdot(GX, GY, W8)
+    bd = boxdot(GX, GY, W8)
     # for every fixed y, x -> x boxdot y is a permutation (sort each column)
     assert np.all(np.sort(bd, axis=0) == GX)
     # for every fixed x, y -> x boxdot y is a permutation (sort each row)
@@ -196,26 +220,26 @@ def test_isomorphism_congruence():
 
 def test_sign_relations_exhaustive_w8():
     neg = (-GX) & np.uint64(0xFF)
-    assert np.array_equal(vk.v_odot(GX, GY, W8), (-vk.v_boxdot(neg, GY, W8)) & np.uint64(0xFF))
-    assert np.array_equal(vk.v_boxdot(GX, GY, W8), (-vk.v_odot(neg, GY, W8)) & np.uint64(0xFF))
+    assert np.array_equal(odot(GX, GY, W8), (-boxdot(neg, GY, W8)) & np.uint64(0xFF))
+    assert np.array_equal(boxdot(GX, GY, W8), (-odot(neg, GY, W8)) & np.uint64(0xFF))
 
 
 def test_complement_relations_exhaustive_w8():
     m = np.uint64(0xFF)
-    assert np.array_equal(vk.v_odot(~GX & m, GY, W8), ~vk.v_odot(GX, GY, W8) & m)
-    assert np.array_equal(vk.v_boxdot((1 - GX) & m, GY, W8), (1 - vk.v_boxdot(GX, GY, W8)) & m)
+    assert np.array_equal(odot(~GX & m, GY, W8), ~odot(GX, GY, W8) & m)
+    assert np.array_equal(boxdot((1 - GX) & m, GY, W8), (1 - boxdot(GX, GY, W8)) & m)
     for e in range(256):
         c = np.uint64((1 - 2 * e) & 0xFF)
-        assert np.array_equal(vk.v_boxdot_e((c - GX) & m, GY, e, W8),
-                              (c - vk.v_boxdot_e(GX, GY, e, W8)) & m)
+        assert np.array_equal(boxdot_e((c - GX) & m, GY, lift(e), W8),
+                              (c - boxdot_e(GX, GY, lift(e), W8)) & m)
 
 
 def test_mixed_associativity():
     # (x boxdot y) boxdot z == x boxdot (y odot z), exhaustive at w=8
-    bd = vk.v_boxdot(GX, GY, W8)
+    bd = boxdot(GX, GY, W8)
     for z in range(256):
-        assert np.array_equal(vk.v_boxdot(bd, z, W8),
-                              vk.v_boxdot(GX, vk.v_odot(GY, z, W8), W8))
+        assert np.array_equal(boxdot(bd, z, W8),
+                              boxdot(GX, odot(GY, z, W8), W8))
     rng = random.Random(64)
     for x, y, z in zip(*(sample_words(rng, 200, 64) for _ in range(3))):
         assert boxdot(boxdot(x, y, 64), z, 64) == boxdot(x, odot(y, z, 64), 64)
@@ -257,15 +281,15 @@ def test_e_sign_relations_exhaustive_w8():
     m = np.uint64(0xFF)
     neg = (-GX) & m
     for e in range(256):
-        assert np.array_equal(vk.v_odot_e(GX, GY, e, W8), (-vk.v_boxdot_e(neg, GY, e, W8)) & m)
-        assert np.array_equal(vk.v_boxdot_e(GX, GY, e, W8), (-vk.v_odot_e(neg, GY, e, W8)) & m)
+        assert np.array_equal(odot_e(GX, GY, lift(e), W8), (-boxdot_e(neg, GY, lift(e), W8)) & m)
+        assert np.array_equal(boxdot_e(GX, GY, lift(e), W8), (-odot_e(neg, GY, lift(e), W8)) & m)
 
 
 def test_e_right_inverse_exhaustive_w8():
     # (x bd[e] y) bd[e] inv_e(y, e) == x over all (x, y, e)
     for e in range(256):
-        y_inv = vk.v_inv_e(ALL8, e, W8)
-        assert np.array_equal(vk.v_boxdot_e(vk.v_boxdot_e(GX, GY, e, W8), y_inv[None, :], e, W8), GX)
+        y_inv = inv_e(ALL8, lift(e), W8)
+        assert np.array_equal(boxdot_e(boxdot_e(GX, GY, lift(e), W8), y_inv[None, :], lift(e), W8), GX)
 
 
 def test_e_right_inverse_sampled():
@@ -291,7 +315,7 @@ def test_boxdot_e_is_affine_exhaustive_w8():
     mask = np.uint64(0xFF)
     for e in range(256):
         m, n = _affine_pair(ALL8, e, W8)
-        assert np.array_equal(vk.v_boxdot_e(GX, GY, e, W8), (GX * m[None, :] + n[None, :]) & mask)
+        assert np.array_equal(boxdot_e(GX, GY, lift(e), W8), (GX * m[None, :] + n[None, :]) & mask)
 
 
 def test_e_associativity_exhaustive_w8_by_affine_reduction():
@@ -304,7 +328,7 @@ def test_e_associativity_exhaustive_w8_by_affine_reduction():
     for e in range(256):
         my, ny = _affine_pair(ALL8, e, W8)   # per y
         for_y = my[:, None], ny[:, None]
-        yz = vk.v_odot_e(GX, GY, e, W8)      # (y, z) grid
+        yz = odot_e(GX, GY, lift(e), W8)      # (y, z) grid
         mz, nz = _affine_pair(ALL8, e, W8)   # per z
         m_comp = (mz[None, :] * for_y[0]) & mask
         n_comp = (mz[None, :] * for_y[1] + nz[None, :]) & mask
@@ -317,11 +341,11 @@ def test_e_associativity_direct_slices_w8(rng):
     # belt and braces: the same law checked pointwise over the full (x, y, z)
     # cube for a handful of e values
     for e in [0, 1, 255] + sample_words(rng, 5, W8):
-        yz = vk.v_odot_e(GX, GY, e, W8)
-        bxy = vk.v_boxdot_e(GX, GY, e, W8)
+        yz = odot_e(GX, GY, lift(e), W8)
+        bxy = boxdot_e(GX, GY, lift(e), W8)
         for z in sample_words(rng, 32, W8):
-            lhs = vk.v_boxdot_e(bxy, z, e, W8)
-            rhs = vk.v_boxdot_e(GX, vk.v_odot_e(GY, z, e, W8), e, W8)
+            lhs = boxdot_e(bxy, z, lift(e), W8)
+            rhs = boxdot_e(GX, odot_e(GY, z, lift(e), W8), lift(e), W8)
             assert np.array_equal(lhs, rhs)
 
 
