@@ -3,9 +3,9 @@
 Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
-numbers can be eyeballed against what hand-optimized x86-64 assembly of this
-cipher reportedly reaches (about 16 cpb at w=32, 12 cpb at w=64); those
-figures are hardware-bound context, not a target this build enforces.  The
+numbers can be eyeballed against the paper's own figure for its x86-64
+software implementation (circa 9 cpb at w=64, from its abstract); that
+figure is hardware-bound context, not a target this build enforces.  The
 one enforced expectation is fast path >= reference on the same machine.
 """
 
@@ -26,9 +26,7 @@ from .words import check_cipher_width
 DEFAULT_WIDTHS = (32, 64)
 BATCH_BLOCKS = 4096
 
-HAND_TUNED_CPB_CONTEXT = (
-    "hand-optimized x86-64 context figures: ~16 cpb (w=32), ~12 cpb (w=64)"
-)
+HAND_TUNED_CPB_CONTEXT = "the paper's x86-64 software figure: circa 9 cpb (w=64)"
 
 
 @dataclass(frozen=True)

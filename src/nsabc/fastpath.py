@@ -36,6 +36,9 @@ class AffineSchedule:
     n: tuple[int, ...]
 
     def __post_init__(self):
+        # stored as tuples, so the checked words cannot change and the schedule hashes
+        object.__setattr__(self, "m", tuple(self.m))
+        object.__setattr__(self, "n", tuple(self.n))
         check_cipher_width(self.width)
         if len(self.m) != 64 or len(self.n) != 64:
             raise ValueError("affine schedule needs exactly 64 (m, n) pairs")
@@ -74,10 +77,9 @@ def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
     the in-place aliasing hazard of overlapping inputs impossible.
     """
     w = schedule.width
-    mask = (1 << w) - 1
-    im = tuple(mod_inverse(schedule.m[63 - k], w) for k in range(64))
-    inn = tuple((-schedule.n[63 - k] * im[k]) & mask for k in range(64))
-    return AffineSchedule(w, im, inn)
+    im = mod_inverse(np.array(schedule.m[::-1], dtype=np.uint64), w)
+    inn = (-np.array(schedule.n[::-1], dtype=np.uint64) * im) & ((1 << w) - 1)
+    return AffineSchedule(w, im.tolist(), inn.tolist())
 
 
 def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):

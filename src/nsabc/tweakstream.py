@@ -5,10 +5,12 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
     T(j) = T0 odot j = 2*T0*j + T0 + j      (mod 2**(4w))
 
-``tweak_at`` gives random access to any T(j); the batch entry points build
-the tweak rows of a run of blocks from its first T(j), adding 2*T0 + 1 per
-block.  As odot is a group operation, j -> T(j) is injective, so no tweak
-repeats before 2**(4w) blocks; that bound is documented, not enforced.
+``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
+an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
+points build the tweak rows with array arithmetic on 32-bit limbs, in tiles
+of ``_TILE_BLOCKS`` blocks each based afresh on ``tweak_at``.  As odot is a
+group operation, j -> T(j) is injective, so no tweak repeats before
+2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
 indices pack them into j themselves.
 
@@ -40,17 +42,44 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
     return int_to_block(odot(tweak_key, index, 4 * w), w)
 
 
+# Blocks per tile of tweak rows.  It keeps the in-tile offset i below 2**32,
+# so each limb product i * step_b fits in a uint64, and bounds the temporaries.
+_TILE_BLOCKS = 1 << 20
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+
+def _limbs(value: int, w: int) -> np.ndarray:
+    """A 4w-bit int as its w/8 little-endian 32-bit limbs, held in uint64."""
+    return np.frombuffer(value.to_bytes(w // 2, "little"), dtype="<u4").astype(np.uint64)
+
+
 def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking: bool) -> np.ndarray:
-    """Tweak words for blocks first_index..first_index+nblocks-1 as (n, 4); the (4,) key if not tweaking."""
+    """Tweak words for blocks first_index..first_index+nblocks-1 as (n, 4); the (4,) key if not tweaking.
+
+    Row i of a tile is base + i*step mod 2**(4w), with base the tile's first
+    tweak and step = 2*T0 + 1, both split into 32-bit limbs.  The limb
+    products i*step_b (i < _TILE_BLOCKS < 2**32) and the base are summed in
+    uint64, then the carries ripple up until none is left; the carry out of
+    the top limb falls off, which is the reduction mod 2**(4w).
+    """
     if not tweaking:
         return np.array(tweak_at(tweak_key, 0, w), dtype=np.uint64)
-    value = block_to_int(tweak_at(tweak_key, first_index, w), w)
+    tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also when there are no blocks
     wm = (1 << (4 * w)) - 1
-    step = (2 * tweak_key + 1) & wm
+    step = _limbs((2 * tweak_key + 1) & wm, w)
+    offsets = np.arange(min(nblocks, _TILE_BLOCKS), dtype=np.uint64)[:, None]
     rows = np.empty((nblocks, 4), dtype=np.uint64)
-    for i in range(nblocks):
-        rows[i] = int_to_block(value, w)
-        value = (value + step) & wm
+    for start in range(0, nblocks, _TILE_BLOCKS):
+        base = block_to_int(tweak_at(tweak_key, (first_index + start) & wm, w), w)
+        acc = offsets[:nblocks - start] * step + _limbs(base, w)
+        while True:
+            carry = acc >> _LIMB_BITS
+            acc &= _LIMB_MASK
+            if not carry[:, :-1].any():
+                break
+            acc[:, 1:] += carry[:, :-1]
+        rows[start:start + acc.shape[0]] = acc.astype("<u4").view(f"<u{w // 8}")
     return rows
 
 

@@ -26,6 +26,7 @@ from nsabc.fastpath import (
 )
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
 from nsabc.tweakstream import decrypt_blocks, encrypt_blocks
+from nsabc.words import mod_inverse
 
 Z16 = (0x0000, 0x0005, 0x0066, 0x0777, 0x8888)
 T16 = (0x4444, 0x0333, 0x0022, 0x0001)
@@ -166,6 +167,13 @@ def test_affine_schedule_validation():
     for w in (16, 32, 64):
         top = (1 << w) - 1
         assert AffineSchedule(w, (top,) * 64, (top,) * 64).m[0] == top
+    # words given as lists are stored as tuples: the checked schedule cannot
+    # change afterwards, and the frozen dataclass hashes
+    s = AffineSchedule(16, [1] * 64, [0] * 64)
+    with pytest.raises(TypeError):
+        s.m[0] = 1 + (1 << 20)
+    assert s == AffineSchedule(16, (1,) * 64, (0,) * 64)
+    assert hash(s) == hash(AffineSchedule(16, (1,) * 64, (0,) * 64))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +302,14 @@ def test_invert_affine_per_index(rng):
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_icrypt_fast_inverts_and_matches_decrypt(w):
     rng = random.Random(w * 13)
+    mask = (1 << w) - 1
     for _ in range(100):
         x, z, t, u = random_tuple(rng, w)
         s = affine_expand(z, u, w)
         inv = invert_affine(s)
+        # the array inversion equals inverting each word on its own
+        im = tuple(mod_inverse(s.m[63 - k], w) for k in range(64))
+        assert inv == AffineSchedule(w, im, tuple((-s.n[63 - k] * im[k]) & mask for k in range(64)))
         y = crypt_fast(x, t, s)
         assert icrypt_fast(y, t, inv) == x
         assert icrypt_fast(y, t, inv) == decrypt(y, z, t, u, w)

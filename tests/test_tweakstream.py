@@ -6,7 +6,7 @@ import pytest
 from conftest import random_tuple, random_words
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
+from nsabc.tweakstream import _TILE_BLOCKS, _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -32,11 +32,25 @@ def test_tweak_at_zero_key_yields_index():
 def test_closed_form_equals_recurrence(w, rng):
     # the rows the batch paths encrypt under are the closed form of each block
     # index, also for a run that crosses the wrap at 2**(4w)
-    t0 = rng.randrange(1 << (4 * w))
     top = 1 << (4 * w)
-    for first in (0, top - 1000):
-        expected = [tweak_at(t0, (first + j) % top, w) for j in range(2000)]
-        assert np.array_equal(_tweak_rows(t0, first, 2000, w, True), np.array(expected, dtype=np.uint64))
+    # a random key, the extreme keys, and one whose 32-bit limbs are all
+    # 0xFFFFFFFF but the lowest; key 0 from top - 1000 ripples a carry
+    # through every limb
+    for t0 in (rng.randrange(top), 0, top - 1, top - (1 << 32)):
+        for first in (0, top - 1000, top - 1):
+            expected = [tweak_at(t0, (first + j) % top, w) for j in range(2000)]
+            assert np.array_equal(_tweak_rows(t0, first, 2000, w, True), np.array(expected, dtype=np.uint64))
+        for count in (0, 1):
+            rows = _tweak_rows(t0, top - 1, count, w, True)
+            assert rows.shape == (count, 4) and rows.dtype == np.uint64
+            assert [tuple(r) for r in rows.tolist()] == [tweak_at(t0, top - 1, w)][:count]
+    # a run across the internal tile boundary, sampled around it and at random
+    t0, first, count = rng.randrange(top), rng.randrange(top), _TILE_BLOCKS + 77
+    rows = _tweak_rows(t0, first, count, w, True)
+    assert rows.shape == (count, 4)
+    sample = [0, count - 1, *range(_TILE_BLOCKS - 3, _TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
+    for j in sample:
+        assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
 
 
 def test_tweak_injective_prefix(rng):
