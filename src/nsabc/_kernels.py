@@ -3,9 +3,9 @@
 The 32 rounds are evaluated through their dependency graph in 20 steps.  The
 graph is derived at import by running the cipher's round relation on XOR-sets
 of symbols, so all widths share a single definition, and one evaluator walks
-it for a single block of Python ints and for a batch of uint64 columns alike.
-The word algebra the G-box is built from is ``nsabc.words``, which takes ints
-and arrays the same way.
+it for a single block of Python ints and for a batch of columns of the
+width's word dtype (``cipher.word_dtype``) alike, which wrap at w bits
+natively.  Block data is not the ``uint64`` arrays of ``nsabc.words``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ def resolve_backend() -> str:
 # the fast block transform
 #
 # One evaluator walks the round graph.  A word is a Python int (one block) or
-# a uint64 column (that word of many blocks), and only operators that mean the
-# same on both are used.  Shift and mask take the type of the schedule words,
-# as a Python int operand is slower on arrays and, before NEP 50, turned
-# np.uint64 scalars into floats; they are cached, as np.uint64() is slow too.
+# a column of the word dtype (that word of many blocks), and only operators
+# that mean the same on both are used.  Shift and mask take the type of the
+# schedule words (a Python int operand is slower on arrays) and are cached.
 
 
 def _derive_round_graph():
@@ -69,7 +68,7 @@ def _half_mask(word, w: int):
 def affine_gbox(x, t, m0, m1, n0, n1, w: int):
     """G-box in affine form; equals gbox under the (m, n) correspondence.
 
-    x and t are ints or uint64 arrays; m0, m1, n0, n1 are ints or np.uint64.
+    x and t are ints or word-dtype columns; m0, m1, n0, n1 ints or scalars of that dtype.
     """
     half, mask = _half_mask(type(m0), w)
     x = (x * m0 + n0) & mask
@@ -103,11 +102,11 @@ def crypt_words(x, t, m, n, w: int) -> list:
 def reversed_swapped(words, w: int):
     """Words reversed with halves swapped, the reordering under which decryption is encryption.
 
-    ``words`` is a sequence of 4 ints, giving a list, or a uint64 array whose
-    last axis holds the 4 words, giving an array of the same shape.
+    ``words`` is a sequence of 4 ints, giving a list, or a word-dtype array
+    whose last axis holds the 4 words, giving an array of the same shape.
     """
     if isinstance(words, np.ndarray):
-        half, mask = _half_mask(np.uint64, w)
+        half, mask = _half_mask(words.dtype.type, w)
         v = words[..., ::-1]
         return ((v << half) | (v >> half)) & mask
     half, mask = _half_mask(int, w)
@@ -115,6 +114,6 @@ def reversed_swapped(words, w: int):
 
 
 def crypt_batch(x, t, m, n, w: int) -> np.ndarray:
-    """Transform an (nblocks, 4) array under (nblocks, 4) tweaks or one 4-word tweak."""
-    m, n = list(np.array(m, dtype=np.uint64)), list(np.array(n, dtype=np.uint64))
+    """Transform an (nblocks, 4) array under (nblocks, 4) tweaks or one 4-word tweak, all in one dtype."""
+    m, n = list(np.array(m, dtype=x.dtype)), list(np.array(n, dtype=x.dtype))
     return np.stack(crypt_words(list(x.T), list(t.T), m, n, w), axis=1)

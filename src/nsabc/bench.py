@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import crypt
+from .cipher import crypt, word_dtype
 from .fastpath import affine_expand, crypt_fast, crypt_fast_batch
 from .schedules import key_expand, tweak_expand, unit_expand
 from .words import check_cipher_width
@@ -91,8 +91,8 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
     ks, ls, cs = key_expand(z, w), unit_expand(u, w), tweak_expand(t, w)
     schedule = affine_expand(z, u, w)
     batch = np.array([[rng.randrange(top) for _ in range(4)] for _ in range(BATCH_BLOCKS)],
-                     dtype=np.uint64)
-    t_arr = np.array(t, dtype=np.uint64)
+                     dtype=word_dtype(w))
+    t_arr = np.array(t, dtype=word_dtype(w))
 
     return [
         BenchResult("reference", w, *_measure(lambda: crypt(x, ks, ls, cs, w), seconds, 1)),

@@ -23,6 +23,8 @@ reversed unit word.  The result is the plaintext in reverse half-word order.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .schedules import (
     KEY_SCHEDULE_LEN,
     TWEAK_SCHEDULE_LEN,
@@ -66,6 +68,11 @@ def int_to_block(value: int, w: int) -> Block:
 def block_to_bytes(x, w: int) -> bytes:
     """Serialize a block as little-endian octets (first octet least significant)."""
     return block_to_int(x, w).to_bytes(w // 2, "little")
+
+
+def word_dtype(w: int) -> np.dtype:
+    """Dtype of batch block data: w-bit words, little-endian like ``block_to_bytes``."""
+    return np.dtype(f"<u{check_cipher_width(w) // 8}")
 
 
 def bytes_to_block(data: bytes, w: int) -> Block:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cipher import word_dtype
 from .tweakstream import decrypt_blocks, encrypt_blocks
 from .words import CIPHER_WIDTHS, check_cipher_width
 
@@ -73,13 +74,13 @@ def parse_header(data: bytes) -> ContainerHeader:
 
 
 def _bytes_to_words(data: bytes, w: int) -> np.ndarray:
-    dtype = {16: "<u2", 32: "<u4", 64: "<u8"}[w]
-    return np.frombuffer(data, dtype=dtype).reshape(-1, 4).astype(np.uint64)
+    """The (n, 4) block words of ``data``, as a read-only view of its octets."""
+    return np.frombuffer(data, dtype=word_dtype(w)).reshape(-1, 4)
 
 
 def _words_to_bytes(arr: np.ndarray, w: int) -> bytes:
-    dtype = {16: "<u2", 32: "<u4", 64: "<u8"}[w]
-    return arr.astype(dtype).tobytes()
+    # the astype copies nothing where the native byte order is little-endian
+    return arr.astype(word_dtype(w), copy=False).tobytes()
 
 
 def encrypt_bytes(plaintext: bytes, key, tweak_key: int, unit_key: int, w: int, *,
@@ -87,11 +88,8 @@ def encrypt_bytes(plaintext: bytes, key, tweak_key: int, unit_key: int, w: int, 
     """Produce header + ciphertext for arbitrary plaintext octets."""
     check_cipher_width(w)
     header = ContainerHeader(width=w, tweaking=tweaking, plaintext_length=len(plaintext))
-    bb = header.block_bytes()
-    pad = (-len(plaintext)) % bb
-    padded = plaintext + b"\x00" * pad
-    xs = _bytes_to_words(padded, w)
-    ys = encrypt_blocks(xs, key, tweak_key, unit_key, w, tweaking=tweaking)
+    padded = plaintext + b"\x00" * (-len(plaintext) % header.block_bytes())
+    ys = encrypt_blocks(_bytes_to_words(padded, w), key, tweak_key, unit_key, w, tweaking=tweaking)
     return pack_header(header) + _words_to_bytes(ys, w)
 
 

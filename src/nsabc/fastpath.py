@@ -11,8 +11,9 @@ Because each round's G input is an XOR of plaintext words and earlier G
 outputs, the 32 rounds form a dependency graph that can be evaluated in 20
 steps, half of them running two or three independent G evaluations.  The
 graph tables, ``affine_gbox`` and the one evaluator live in ``_kernels``; the
-scalar functions here hand it Python ints and the batch functions uint64
-arrays.  Key and unit key are validated by the schedule expansions they feed.
+scalar functions here hand it Python ints, the batch functions columns of the
+width's word dtype (``cipher.word_dtype``).  Key and unit key are validated by
+the schedule expansions they feed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cipher import check_block
+from .cipher import check_block, word_dtype
 from .schedules import check_tweak, key_expand, unit_expand
 from .words import check_cipher_width, mod_inverse
 
@@ -100,7 +101,7 @@ def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
 
 
 def _words(values, w: int, what: str) -> np.ndarray:
-    """``values`` as a uint64 array, rejecting anything but w-bit integer words."""
+    """``values`` as an array of the word dtype, rejecting anything but w-bit integer words."""
     # Sequences go through an object array: numpy would turn Python ints
     # >= 2**63 into floats, and the check must see the exact values.
     arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
@@ -111,7 +112,7 @@ def _words(values, w: int, what: str) -> np.ndarray:
         ok = arr.dtype.kind in "iu" and (arr.size == 0 or (int(arr.min()) >= 0 and int(arr.max()) < top))
     if not ok:
         raise ValueError(f"{what} must be integers in [0, 2**{w})")
-    return arr.astype(np.uint64, copy=False)
+    return arr.astype(word_dtype(w), copy=False)
 
 
 def _as_block_array(blocks, w: int) -> np.ndarray:
@@ -136,7 +137,7 @@ def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     ``blocks`` is an (nblocks, 4) array of words (or anything convertible),
     ``tweaks`` either one 4-word tweak or an (nblocks, 4) array.  Every word
     must be an integer in [0, 2**w).  Returns the ciphertext words as an
-    (nblocks, 4) uint64 array.
+    (nblocks, 4) array of the width's word dtype.
     """
     w = schedule.width
     x = _as_block_array(blocks, w)

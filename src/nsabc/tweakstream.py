@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cipher import block_to_int, encrypt, int_to_block
-from .fastpath import affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
+from .cipher import block_to_int, encrypt, int_to_block, word_dtype
+from .fastpath import _as_block_array, affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
 from .words import check_cipher_width, odot
 
 
@@ -61,15 +61,16 @@ def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking
     tweak and step = 2*T0 + 1, both split into 32-bit limbs.  The limb
     products i*step_b (i < _TILE_BLOCKS < 2**32) and the base are summed in
     uint64, then the carries ripple up until none is left; the carry out of
-    the top limb falls off, which is the reduction mod 2**(4w).
+    the top limb falls off, which is the reduction mod 2**(4w).  The limbs,
+    viewed as little-endian words, are the rows in ``word_dtype(w)``.
     """
     if not tweaking:
-        return np.array(tweak_at(tweak_key, 0, w), dtype=np.uint64)
+        return np.array(tweak_at(tweak_key, 0, w), dtype=word_dtype(w))
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also when there are no blocks
     wm = (1 << (4 * w)) - 1
     step = _limbs((2 * tweak_key + 1) & wm, w)
     offsets = np.arange(min(nblocks, _TILE_BLOCKS), dtype=np.uint64)[:, None]
-    rows = np.empty((nblocks, 4), dtype=np.uint64)
+    rows = np.empty((nblocks, 4), dtype=word_dtype(w))
     for start in range(0, nblocks, _TILE_BLOCKS):
         base = block_to_int(tweak_at(tweak_key, (first_index + start) & wm, w), w)
         acc = offsets[:nblocks - start] * step + _limbs(base, w)
@@ -79,20 +80,17 @@ def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking
             if not carry[:, :-1].any():
                 break
             acc[:, 1:] += carry[:, :-1]
-        rows[start:start + acc.shape[0]] = acc.astype("<u4").view(f"<u{w // 8}")
+        rows[start:start + acc.shape[0]] = acc.astype("<u4").view(rows.dtype)
     return rows
 
 
-def _blocks_in(blocks) -> tuple[np.ndarray, bool]:
-    if isinstance(blocks, np.ndarray):
-        return blocks, True
-    return np.array(list(blocks), dtype=object), False
-
-
-def _blocks_out(arr: np.ndarray, as_array: bool):
-    if as_array:
-        return arr
-    return [tuple(int(v) for v in row) for row in arr]
+def _crypt_blocks(batch_fn, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool):
+    """``batch_fn`` over the checked blocks and their tweak rows; a list back for a list."""
+    w = schedule.width
+    as_array = isinstance(blocks, np.ndarray)
+    xs = _as_block_array(blocks if as_array else list(blocks), w)
+    out = batch_fn(xs, _tweak_rows(tweak_key, first_index, xs.shape[0], w, tweaking), schedule)
+    return out if as_array else [tuple(row) for row in out.tolist()]
 
 
 def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
@@ -104,19 +102,15 @@ def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
     constant tweak.  Accepts a list of 4-word tuples or an (n, 4) array and
     returns the same kind.
     """
-    xs, as_array = _blocks_in(blocks)
     schedule = affine_expand(key, unit_key, w)
-    ts = _tweak_rows(tweak_key, first_index, xs.shape[0], w, tweaking)
-    return _blocks_out(crypt_fast_batch(xs, ts, schedule), as_array)
+    return _crypt_blocks(crypt_fast_batch, schedule, blocks, tweak_key, first_index, tweaking)
 
 
 def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
                    tweaking: bool = True, first_index: int = 0):
     """Invert ``encrypt_blocks``; ``first_index`` gives random access to any slice."""
-    ys, as_array = _blocks_in(blocks)
     inverse = invert_affine(affine_expand(key, unit_key, w))
-    ts = _tweak_rows(tweak_key, first_index, ys.shape[0], w, tweaking)
-    return _blocks_out(icrypt_fast_batch(ys, ts, inverse), as_array)
+    return _crypt_blocks(icrypt_fast_batch, inverse, blocks, tweak_key, first_index, tweaking)
 
 
 def encrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):

@@ -12,7 +12,8 @@ broadcast).  Only ring operations, shifts and masks are used, so arithmetic mod
 the two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
 when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
 arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
-their arithmetic wraps.
+their arithmetic wraps.  Batch block data is a different thing, held in the
+width's word dtype (``cipher.word_dtype``).
 
 The two core operations are
 

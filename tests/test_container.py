@@ -1,5 +1,8 @@
 """Container format: header fields, padding, rejection of malformed input."""
 
+import hashlib
+import random
+
 import pytest
 
 from conftest import random_tuple
@@ -77,6 +80,29 @@ def test_roundtrip_various_lengths(w, tweaking, rng):
         assert header.plaintext_length == size
         assert len(blob) == HEADER_LEN + header.block_count() * bb
         assert decrypt_bytes(blob, z, t0, u) == data
+
+
+# SHA-256 of the container of a seeded 64 KiB + 5 octet payload; pinned so any
+# change of the ciphertext bits, the padding or the header shows
+GOLDEN_CONTAINERS = {
+    (16, True): "3b864032a4c07147885fa6cbe4e32f7f79cebeb2245697cbdeded9f6679a333c",
+    (16, False): "7ec4031a9dff93d762e63151037948823f63d3082e9c82e040b77d1dede2520d",
+    (32, True): "78e4d4bc3ae3617bdba940a309d37303a48e7558583bae29ac3fb2574c37a8a6",
+    (32, False): "6ae1111ed69b0f06b941d7705c1f0c49980c5c1c0a7143a62234cfedea457510",
+    (64, True): "2ec5d0713efde6052cce3f9655aad52b29d04e179eb2ae6f4304e521ddf4cdb3",
+    (64, False): "b6e47065e551a694b7a15bf0dacf6699fc9cc5d5ef6f377528327d597641c10b",
+}
+
+
+@pytest.mark.parametrize("w, tweaking", sorted(GOLDEN_CONTAINERS))
+def test_golden_container_digest(w, tweaking):
+    seeded = random.Random(20261018 + w)
+    payload = seeded.randbytes(64 * 1024 + 5)
+    key = tuple(seeded.randrange(1 << w) for _ in range(5))
+    tweak_key, unit_key = seeded.randrange(1 << (4 * w)), seeded.randrange(1 << w)
+    blob = encrypt_bytes(payload, key, tweak_key, unit_key, w, tweaking=tweaking)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_CONTAINERS[w, tweaking]
+    assert decrypt_bytes(blob, key, tweak_key, unit_key) == payload
 
 
 def test_empty_input_produces_header_only(rng):

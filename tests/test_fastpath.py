@@ -14,7 +14,7 @@ from nsabc._kernels import (
     g_values,
     resolve_backend,
 )
-from nsabc.cipher import crypt, decrypt, gbox
+from nsabc.cipher import crypt, decrypt, gbox, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
     affine_expand,
@@ -138,10 +138,10 @@ def test_affine_gbox_equals_gbox(w):
     n0 = ((2 * l0 - 1) * (k0 - l0)) & mask
     m1 = (2 * (k1 - l1) + 1) & mask
     n1 = ((2 * l1 - 1) * (k1 - l1)) & mask
-    # the array form: uint64 text column, np.uint64 tweak and constants
-    m0u, m1u, n0u, n1u, c0u = (np.uint64(v) for v in (m0, m1, n0, n1, c0))
+    # the array form: a text column, tweak and constants of the word dtype
+    m0u, m1u, n0u, n1u, c0u = (word_dtype(w).type(v) for v in (m0, m1, n0, n1, c0))
     assert np.array_equal(gbox(xs, *map(lift, (k0, k1, l0, l1, c0)), w),
-                          affine_gbox(xs, c0u, m0u, m1u, n0u, n1u, w))
+                          affine_gbox(xs.astype(word_dtype(w)), c0u, m0u, m1u, n0u, n1u, w))
     # scalar spot checks of the same correspondence
     sr = random.Random(w)
     for _ in range(50):
@@ -354,6 +354,29 @@ def test_batch_broadcasts_single_tweak(w, rng):
         assert fn(np.zeros((0, 4), dtype=np.uint64), t, sched).shape == (0, 4)
 
 
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_batch_dtype_contract(w, rng):
+    # whatever integer dtype the words come in, the batch paths return the same
+    # values as an array of the width's word dtype
+    _, z, _, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    t0 = rng.randrange(1 << (4 * w))
+    xs = [random_words(rng, 4, w - 1) for _ in range(6)]  # below 2**(w-1), so int64 holds them
+    ts = [random_words(rng, 4, w - 1) for _ in range(6)]
+    calls = (lambda b, tw: crypt_fast_batch(b, tw, s), lambda b, tw: icrypt_fast_batch(b, tw, inv),
+             lambda b, _: encrypt_blocks(b, z, t0, u, w), lambda b, _: decrypt_blocks(b, z, t0, u, w))
+    for call in calls:
+        native = call(np.array(xs, dtype=word_dtype(w)), np.array(ts, dtype=word_dtype(w)))
+        assert native.dtype == word_dtype(w) and native.shape == (6, 4)
+        for dtype in (np.uint64, np.int64):
+            out = call(np.array(xs, dtype=dtype), np.array(ts, dtype=dtype))
+            assert out.dtype == word_dtype(w) and np.array_equal(out, native)
+        listed = call(xs, ts)  # the block sequences give a list back for a list
+        assert isinstance(listed, list) or listed.dtype == word_dtype(w)
+        assert np.array_equal(np.array(listed, dtype=object), native)
+
+
 def test_batch_shape_validation(rng):
     _, z, t, u = random_tuple(rng, 16)
     s = affine_expand(z, u, 16)
@@ -378,6 +401,8 @@ def test_batch_rejects_bad_words(w):
         np.array([[1.7, 0, 0, 0]]),                # not an integer
         np.array([[-1, 0, 0, 0]], dtype=np.int64),  # negative word
     ]
+    if w < 64:  # a wider unsigned dtype holding a word >= 2**w
+        bad_blocks.append(np.array([[over, 0, 0, 0]], dtype={16: np.uint32, 32: np.uint64}[w]))
     batch_calls = ((crypt_fast_batch, s), (icrypt_fast_batch, inv))
     for blocks in bad_blocks:
         for fn, sched in batch_calls:

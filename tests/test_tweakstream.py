@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words
-from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block
+from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
 from nsabc.tweakstream import _TILE_BLOCKS, _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
 
@@ -42,7 +42,7 @@ def test_closed_form_equals_recurrence(w, rng):
             assert np.array_equal(_tweak_rows(t0, first, 2000, w, True), np.array(expected, dtype=np.uint64))
         for count in (0, 1):
             rows = _tweak_rows(t0, top - 1, count, w, True)
-            assert rows.shape == (count, 4) and rows.dtype == np.uint64
+            assert rows.shape == (count, 4) and rows.dtype == word_dtype(w)
             assert [tuple(r) for r in rows.tolist()] == [tweak_at(t0, top - 1, w)][:count]
     # a run across the internal tile boundary, sampled around it and at random
     t0, first, count = rng.randrange(top), rng.randrange(top), _TILE_BLOCKS + 77
@@ -106,6 +106,10 @@ def test_single_block_matches_reference(rng):
         t0 = rng.randrange(1 << (4 * w))
         ct = encrypt_blocks([x], z, t0, u, w)
         assert ct[0] == encrypt(x, z, int_to_block(t0, w), u, w)
+        # a flat 4-word block is one block in both tweak modes
+        for tweaking in (True, False):
+            assert encrypt_blocks(list(x), z, t0, u, w, tweaking=tweaking) == ct
+            assert decrypt_blocks(list(ct[0]), z, t0, u, w, tweaking=tweaking) == [x]
 
 
 def test_roundtrip_and_per_block_tweaks(rng):
