@@ -6,6 +6,8 @@ of symbols, so all widths share a single definition, and one evaluator walks
 it for a single block of Python ints and for a batch of columns of the
 width's word dtype (``cipher.word_dtype``) alike, which wrap at w bits
 natively.  Block data is not the ``uint64`` arrays of ``nsabc.words``.
+Decryption is the same walk on reordered words, and the batch kernel runs
+either direction one tile of ``TILE_BLOCKS`` blocks at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from operator import xor
 
 import numpy as np
 
-from .cipher import round_update
+from .cipher import reverse_words, round_update, swap_all_halves
+
+# Blocks per tile of the batch kernel and of the tweak rows (whose limbs need it below 2**32)
+TILE_BLOCKS = 1 << 15
 
 
 def resolve_backend() -> str:
@@ -99,21 +104,21 @@ def crypt_words(x, t, m, n, w: int) -> list:
     return [reduce(xor, [g[j] for j in terms]) for terms in OUTPUT_G_TERMS]
 
 
-def reversed_swapped(words, w: int):
-    """Words reversed with halves swapped, the reordering under which decryption is encryption.
+def icrypt_words(y, t, m, n, w: int):
+    """``crypt_words`` inverted, for an inverse schedule: the words reversed with halves
+    swapped are encrypted, and the result, reordered alike, is the plaintext."""
+    def rs(words):
+        return swap_all_halves(reverse_words(words), w)
 
-    ``words`` is a sequence of 4 ints, giving a list, or a word-dtype array
-    whose last axis holds the 4 words, giving an array of the same shape.
-    """
-    if isinstance(words, np.ndarray):
-        half, mask = _half_mask(words.dtype.type, w)
-        v = words[..., ::-1]
-        return ((v << half) | (v >> half)) & mask
-    half, mask = _half_mask(int, w)
-    return [((v << half) | (v >> half)) & mask for v in reversed(words)]
+    return rs(crypt_words(rs(y), rs(t), m, n, w))
 
 
-def crypt_batch(x, t, m, n, w: int) -> np.ndarray:
-    """Transform an (nblocks, 4) array under (nblocks, 4) tweaks or one 4-word tweak, all in one dtype."""
+def crypt_batch(x, t, m, n, w: int, words=crypt_words) -> np.ndarray:
+    """``words`` over an (nblocks, 4) array and tweak rows or one 4-word tweak, tile by tile, in one dtype."""
     m, n = list(np.array(m, dtype=x.dtype)), list(np.array(n, dtype=x.dtype))
-    return np.stack(crypt_words(list(x.T), list(t.T), m, n, w), axis=1)
+    t = np.broadcast_to(t, x.shape)
+    out = np.empty(x.shape, dtype=x.dtype)
+    for start in range(0, x.shape[0], TILE_BLOCKS):
+        tile = slice(start, start + TILE_BLOCKS)
+        np.stack(words(list(x[tile].T), list(t[tile].T), m, n, w), axis=1, out=out[tile])
+    return out

@@ -11,7 +11,8 @@ Because each round's G input is an XOR of plaintext words and earlier G
 outputs, the 32 rounds form a dependency graph that can be evaluated in 20
 steps, half of them running two or three independent G evaluations.  The
 graph tables, ``affine_gbox`` and the one evaluator live in ``_kernels``; the
-scalar functions here hand it Python ints, the batch functions columns of the
+scalar functions here hand it Python ints, the batch functions their checked
+arrays, which ``_kernels.crypt_batch`` walks tile by tile in columns of the
 width's word dtype (``cipher.word_dtype``).  Key and unit key are validated by
 the schedule expansions they feed.
 """
@@ -84,16 +85,14 @@ def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
 
 
 def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
-    """Decrypt via the forward fast path on reordered inputs.
+    """Decrypt via the forward fast path on reordered inputs (``_kernels.icrypt_words``).
 
     ``inverse_schedule`` must come from ``invert_affine`` of the schedule the
     block was encrypted under.
     """
     w = inverse_schedule.width
-    y_rs = _kernels.reversed_swapped(check_block(block, w), w)
-    t_rs = _kernels.reversed_swapped(check_tweak(tweak, w), w)
-    x_rs = _kernels.crypt_words(y_rs, t_rs, inverse_schedule.m, inverse_schedule.n, w)
-    return tuple(_kernels.reversed_swapped(x_rs, w))
+    y, t = check_block(block, w), check_tweak(tweak, w)
+    return tuple(_kernels.icrypt_words(y, t, inverse_schedule.m, inverse_schedule.n, w))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +149,4 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.nd
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
     t = _as_tweak_array(tweaks, y.shape[0], w)
-    y_rs, t_rs = _kernels.reversed_swapped(y, w), _kernels.reversed_swapped(t, w)
-    x_rs = _kernels.crypt_batch(y_rs, t_rs, inverse_schedule.m, inverse_schedule.n, w)
-    return _kernels.reversed_swapped(x_rs, w)
+    return _kernels.crypt_batch(y, t, inverse_schedule.m, inverse_schedule.n, w, _kernels.icrypt_words)

@@ -7,10 +7,10 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
-points build the tweak rows with array arithmetic on 32-bit limbs, in tiles
-of ``_TILE_BLOCKS`` blocks each based afresh on ``tweak_at``.  As odot is a
-group operation, j -> T(j) is injective, so no tweak repeats before
-2**(4w) blocks; that bound is documented, not enforced.
+points build the tweak rows with array arithmetic on 32-bit limbs, in the
+kernel's tiles of ``TILE_BLOCKS`` blocks each based afresh on ``tweak_at``.
+As odot is a group operation, j -> T(j) is injective, so no tweak repeats
+before 2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
 indices pack them into j themselves.
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import TILE_BLOCKS
 from .cipher import block_to_int, encrypt, int_to_block, word_dtype
 from .fastpath import _as_block_array, affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
 from .words import check_cipher_width, odot
@@ -42,9 +43,6 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
     return int_to_block(odot(tweak_key, index, 4 * w), w)
 
 
-# Blocks per tile of tweak rows.  It keeps the in-tile offset i below 2**32,
-# so each limb product i * step_b fits in a uint64, and bounds the temporaries.
-_TILE_BLOCKS = 1 << 20
 _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -59,7 +57,7 @@ def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking
 
     Row i of a tile is base + i*step mod 2**(4w), with base the tile's first
     tweak and step = 2*T0 + 1, both split into 32-bit limbs.  The limb
-    products i*step_b (i < _TILE_BLOCKS < 2**32) and the base are summed in
+    products i*step_b (i < TILE_BLOCKS < 2**32) and the base are summed in
     uint64, then the carries ripple up until none is left; the carry out of
     the top limb falls off, which is the reduction mod 2**(4w).  The limbs,
     viewed as little-endian words, are the rows in ``word_dtype(w)``.
@@ -69,9 +67,9 @@ def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also when there are no blocks
     wm = (1 << (4 * w)) - 1
     step = _limbs((2 * tweak_key + 1) & wm, w)
-    offsets = np.arange(min(nblocks, _TILE_BLOCKS), dtype=np.uint64)[:, None]
+    offsets = np.arange(min(nblocks, TILE_BLOCKS), dtype=np.uint64)[:, None]
     rows = np.empty((nblocks, 4), dtype=word_dtype(w))
-    for start in range(0, nblocks, _TILE_BLOCKS):
+    for start in range(0, nblocks, TILE_BLOCKS):
         base = block_to_int(tweak_at(tweak_key, (first_index + start) & wm, w), w)
         acc = offsets[:nblocks - start] * step + _limbs(base, w)
         while True:

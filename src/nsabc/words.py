@@ -13,7 +13,8 @@ the two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
 when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
 arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
 their arithmetic wraps.  Batch block data is a different thing, held in the
-width's word dtype (``cipher.word_dtype``).
+width's word dtype (``cipher.word_dtype``).  ``swap_halves`` uses bit
+operations only, and it also runs on word-dtype columns, to reorder for decryption.
 
 The two core operations are
 
@@ -124,6 +125,5 @@ def inv_e(x: int, e: int, w: int) -> int:
 def swap_halves(x: int, w: int) -> int:
     """Rotate by w/2, i.e. exchange the high and low order halves."""
     h = w >> 1
-    mask = (1 << w) - 1
-    x = x & mask
-    return ((x << h) | (x >> h)) & mask
+    half = (1 << h) - 1
+    return ((x & half) << h) | ((x >> h) & half)

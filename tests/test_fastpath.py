@@ -1,6 +1,7 @@
 """Fast path: affine schedules, the 20-step evaluation, inversion, batching."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nsabc._kernels import (
     PARALLEL_STEPS,
     ROUND_G_TERMS,
     ROUND_TEXT_TERMS,
+    TILE_BLOCKS,
     affine_gbox,
     g_values,
     resolve_backend,
@@ -25,7 +27,7 @@ from nsabc.fastpath import (
     invert_affine,
 )
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
-from nsabc.tweakstream import decrypt_blocks, encrypt_blocks
+from nsabc.tweakstream import decrypt_blocks, encrypt_block_at, encrypt_blocks
 from nsabc.words import mod_inverse
 
 Z16 = (0x0000, 0x0005, 0x0066, 0x0777, 0x8888)
@@ -325,18 +327,51 @@ def test_icrypt_fast_known_answer():
 # batch kernel
 
 
+# batch sizes one short of a tile, one tile, one past it, and across two tile edges
+TILE_EDGE_COUNTS = (TILE_BLOCKS - 1, TILE_BLOCKS, TILE_BLOCKS + 1, 2 * TILE_BLOCKS + 5)
+
+
+def random_block_array(rng, count, w):
+    """(count, 4) random words of the width's word dtype."""
+    np_rng = np.random.default_rng(rng.randrange(1 << 32))
+    return np_rng.integers(0, 1 << w, size=(count, 4), dtype=np.uint64).astype(word_dtype(w))
+
+
+def tile_edge_rows(rng, count):
+    """The first and last row of every tile of ``count`` blocks, and a few at random."""
+    edges = {r for start in range(0, count, TILE_BLOCKS) for r in (start, min(start + TILE_BLOCKS, count) - 1)}
+    return sorted(edges | {rng.randrange(count) for _ in range(4)})
+
+
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_batch_matches_scalar(w):
     rng = random.Random(w + 5)
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
+    inv = invert_affine(s)
     xs = [random_words(rng, 4, w) for _ in range(40)]
     ts = [random_words(rng, 4, w) for _ in range(40)]
     out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(ts, dtype=np.uint64), s)
     for i in range(40):
         assert tuple(int(v) for v in out[i]) == crypt_fast(xs[i], ts[i], s)
-    back = icrypt_fast_batch(out, np.array(ts, dtype=np.uint64), invert_affine(s))
+    back = icrypt_fast_batch(out, np.array(ts, dtype=np.uint64), inv)
     assert np.array_equal(back, np.array(xs, dtype=np.uint64))
+    # batches around the kernel's tile edges
+    for count in TILE_EDGE_COUNTS:
+        xa, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
+        out = crypt_fast_batch(xa, ta, s)
+        for i in tile_edge_rows(rng, count):
+            assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
+        assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
+    # a tweak-derived run that crosses a tile edge and the wrap of the block index at 2**(4w)
+    t0, count = rng.randrange(1 << (4 * w)), TILE_BLOCKS + 5
+    first = (1 << (4 * w)) - TILE_BLOCKS // 2
+    xa = random_block_array(rng, count, w)
+    out = encrypt_blocks(xa, z, t0, u, w, first_index=first)
+    for i in (0, TILE_BLOCKS // 2 - 1, TILE_BLOCKS // 2, TILE_BLOCKS - 1, TILE_BLOCKS, count - 1):
+        index = (first + i) % (1 << (4 * w))
+        assert tuple(out[i].tolist()) == encrypt_block_at(xa[i].tolist(), z, t0, u, index, w)
+    assert np.array_equal(decrypt_blocks(out, z, t0, u, w, first_index=first), xa)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -349,9 +384,35 @@ def test_batch_broadcasts_single_tweak(w, rng):
     for i, x in enumerate(xs):
         assert tuple(int(v) for v in out[i]) == crypt_fast(x, t, s)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), np.array(xs, dtype=np.uint64))
+    for count in TILE_EDGE_COUNTS:
+        xa = random_block_array(rng, count, w)
+        out = crypt_fast_batch(xa, t, s)
+        for i in tile_edge_rows(rng, count):
+            assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), t, s)
+        assert np.array_equal(icrypt_fast_batch(out, t, inv), xa)
     # an empty batch keeps its shape
     for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, inv)):
         assert fn(np.zeros((0, 4), dtype=np.uint64), t, sched).shape == (0, 4)
+
+
+def test_batch_memory_bounded_by_a_tile(rng):
+    # the kernel works tile by tile, so beyond its output it holds at most a
+    # tile's G columns and temporaries, whatever the input size; tracemalloc
+    # sees numpy's buffers
+    w, count = 64, 8 * TILE_BLOCKS
+    _, z, _, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    xs, ts = random_block_array(rng, count, w), random_block_array(rng, count, w)
+    two_tiles_of_g_columns = 2 * 32 * TILE_BLOCKS * 8
+    for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, invert_affine(s))):
+        tracemalloc.start()
+        try:
+            out = fn(xs, ts, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (count, 4)
+        assert peak - out.nbytes < two_tiles_of_g_columns, fn.__name__
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])

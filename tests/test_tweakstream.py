@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words
+from nsabc._kernels import TILE_BLOCKS
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import _TILE_BLOCKS, _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
+from nsabc.tweakstream import _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -45,10 +46,10 @@ def test_closed_form_equals_recurrence(w, rng):
             assert rows.shape == (count, 4) and rows.dtype == word_dtype(w)
             assert [tuple(r) for r in rows.tolist()] == [tweak_at(t0, top - 1, w)][:count]
     # a run across the internal tile boundary, sampled around it and at random
-    t0, first, count = rng.randrange(top), rng.randrange(top), _TILE_BLOCKS + 77
+    t0, first, count = rng.randrange(top), rng.randrange(top), TILE_BLOCKS + 77
     rows = _tweak_rows(t0, first, count, w, True)
     assert rows.shape == (count, 4)
-    sample = [0, count - 1, *range(_TILE_BLOCKS - 3, _TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
+    sample = [0, count - 1, *range(TILE_BLOCKS - 3, TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
     for j in sample:
         assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
 
