@@ -1,6 +1,6 @@
 """NSABC/w: a width-scalable, tweakable block cipher over quasi-group word
 multiplication, with a bit-exact reference path and an accelerated affine
-path (one evaluator of the derived round graph, for one block or a numpy batch)."""
+path (one register loop over the cipher's round update, for one block or a numpy batch)."""
 
 from ._kernels import affine_gbox
 from .cipher import (

@@ -7,14 +7,11 @@ affine map ``m*x + n`` with ``m = 2(z-e)+1`` (always odd) and
 (m, n) pairs turns every G-box evaluation into two multiply-adds plus the
 swaps and the tweak XOR.
 
-Because each round's G input is an XOR of plaintext words and earlier G
-outputs, the 32 rounds form a dependency graph that can be evaluated in 20
-steps, half of them running two or three independent G evaluations.  The
-graph tables, ``affine_gbox`` and the one evaluator live in ``_kernels``; the
-scalar functions here hand it Python ints, the batch functions their checked
-arrays, which ``_kernels.crypt_batch`` walks tile by tile in columns of the
-width's word dtype (``cipher.word_dtype``).  Key and unit key are validated by
-the schedule expansions they feed.
+``affine_gbox`` and the 32-round register loop ``crypt_words`` live in
+``_kernels``; the scalar functions here hand the loop Python ints, the batch
+functions their checked arrays, which ``_kernels.crypt_batch`` runs tile by
+tile in columns of the width's word dtype (``cipher.word_dtype``).  Key and
+unit key are validated by the schedule expansions they feed.
 """
 
 from __future__ import annotations

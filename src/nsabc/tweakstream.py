@@ -62,9 +62,9 @@ def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking
     the top limb falls off, which is the reduction mod 2**(4w).  The limbs,
     viewed as little-endian words, are the rows in ``word_dtype(w)``.
     """
+    tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
         return np.array(tweak_at(tweak_key, 0, w), dtype=word_dtype(w))
-    tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also when there are no blocks
     wm = (1 << (4 * w)) - 1
     step = _limbs((2 * tweak_key + 1) & wm, w)
     offsets = np.arange(min(nblocks, TILE_BLOCKS), dtype=np.uint64)[:, None]

@@ -1,4 +1,4 @@
-"""Fast path: affine schedules, the 20-step evaluation, inversion, batching."""
+"""Fast path: affine schedules, the register loop, inversion, batching."""
 
 import random
 import tracemalloc
@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import lift, random_tuple, random_words
-from nsabc._kernels import (
-    PARALLEL_STEPS,
-    ROUND_G_TERMS,
-    ROUND_TEXT_TERMS,
-    TILE_BLOCKS,
-    affine_gbox,
-    g_values,
-    resolve_backend,
-)
+from nsabc._kernels import TILE_BLOCKS, affine_gbox, resolve_backend
 from nsabc.cipher import crypt, decrypt, gbox, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
@@ -37,24 +29,10 @@ X16 = (0xCDEF, 0x89AB, 0x4567, 0x0123)
 
 
 # ---------------------------------------------------------------------------
-# dependency tables
+# the register loop against the reference trace
 
 
-def test_step_grouping_is_a_valid_topological_partition():
-    seen = set()
-    scheduled = set()
-    for step in PARALLEL_STEPS:
-        for k in step:
-            # all dependencies must come from strictly earlier steps
-            assert set(ROUND_G_TERMS[k]) <= scheduled
-        seen.update(step)
-        scheduled.update(step)
-    assert seen == set(range(32))
-    assert sum(len(s) for s in PARALLEL_STEPS) == 32
-    assert len(PARALLEL_STEPS) == 20
-
-
-def test_fast_g_values_match_reference_trace():
+def test_fast_rounds_match_reference_trace():
     # the published w=16 vector, then seeded random vectors at every width
     vectors = [(16, (X16, Z16, T16, U16))]
     for w in (16, 32, 64):
@@ -63,26 +41,11 @@ def test_fast_g_values_match_reference_trace():
     for w, (x, z, t, u) in vectors:
         trace = []
         crypt(x, key_expand(z, w), unit_expand(u, w), tweak_expand(t, w), w, trace=trace)
-        ref_g = [g for _, _, g in trace[:32]]
         s = affine_expand(z, u, w)
-        assert g_values(x, t, s.m, s.n, w) == ref_g, f"w={w}"
-
-
-def test_permuting_in_step_evaluations_is_inert():
-    # evaluate the steps with each step's members in reverse order; the
-    # members are independent, so nothing may change
-    s = affine_expand(Z16, U16, 16)
-    g = [0] * 32
-    for step in PARALLEL_STEPS:
-        for k in reversed(step):
-            acc = 0
-            for i in ROUND_TEXT_TERMS[k]:
-                acc ^= X16[i]
-            for j in ROUND_G_TERMS[k]:
-                acc ^= g[j]
-            g[k] = affine_gbox(acc, T16[k & 3], s.m[2 * k], s.m[2 * k + 1],
-                               s.n[2 * k], s.n[2 * k + 1], 16)
-    assert g == g_values(X16, T16, s.m, s.n, 16)
+        for k, state, g in trace[:32]:
+            assert affine_gbox(state[0], t[k & 3], s.m[2 * k], s.m[2 * k + 1],
+                               s.n[2 * k], s.n[2 * k + 1], w) == g, f"w={w} round {k}"
+        assert crypt_fast(x, t, s) == trace[32][1], f"w={w}"
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +326,16 @@ def test_batch_matches_scalar(w):
         for i in tile_edge_rows(rng, count):
             assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
         assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
+    # read-only inputs: the kernel passes input columns straight into the round
+    # update, so an in-place write would raise here instead of changing them
+    xa, ta = random_block_array(rng, TILE_BLOCKS + 1, w), random_block_array(rng, TILE_BLOCKS + 1, w)
+    xa.setflags(write=False)
+    ta.setflags(write=False)
+    out = crypt_fast_batch(xa, ta, s)
+    out.setflags(write=False)
+    for i in tile_edge_rows(rng, TILE_BLOCKS + 1):
+        assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
+    assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
     # a tweak-derived run that crosses a tile edge and the wrap of the block index at 2**(4w)
     t0, count = rng.randrange(1 << (4 * w)), TILE_BLOCKS + 5
     first = (1 << (4 * w)) - TILE_BLOCKS // 2
@@ -397,13 +370,13 @@ def test_batch_broadcasts_single_tweak(w, rng):
 
 def test_batch_memory_bounded_by_a_tile(rng):
     # the kernel works tile by tile, so beyond its output it holds at most a
-    # tile's G columns and temporaries, whatever the input size; tracemalloc
-    # sees numpy's buffers
+    # tile's 4 registers and their temporaries, whatever the input size;
+    # tracemalloc sees numpy's buffers
     w, count = 64, 8 * TILE_BLOCKS
     _, z, _, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     xs, ts = random_block_array(rng, count, w), random_block_array(rng, count, w)
-    two_tiles_of_g_columns = 2 * 32 * TILE_BLOCKS * 8
+    word_columns_of_a_tile = 24 * TILE_BLOCKS * word_dtype(w).itemsize
     for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, invert_affine(s))):
         tracemalloc.start()
         try:
@@ -412,7 +385,7 @@ def test_batch_memory_bounded_by_a_tile(rng):
         finally:
             tracemalloc.stop()
         assert out.shape == (count, 4)
-        assert peak - out.nbytes < two_tiles_of_g_columns, fn.__name__
+        assert peak - out.nbytes < word_columns_of_a_tile, fn.__name__
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])

@@ -90,9 +90,10 @@ def test_tweak_key_and_index_must_fit(w, rng):
     for j in (-1, top, 1.0):
         with pytest.raises(ValueError):
             tweak_at(6, j, w)
-        for fn in (encrypt_blocks, decrypt_blocks):
-            with pytest.raises(ValueError):
-                fn([x], z, 6, u, w, first_index=j)
+        for tweaking in (True, False):
+            for fn in (encrypt_blocks, decrypt_blocks):
+                with pytest.raises(ValueError):
+                    fn([x], z, 6, u, w, tweaking=tweaking, first_index=j)
     # the largest key and index are still accepted
     assert tweak_at(top - 1, top - 1, w) == int_to_block((2 * (top - 1) ** 2 + 2 * (top - 1)) % top, w)
 
