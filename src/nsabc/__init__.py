@@ -2,7 +2,6 @@
 multiplication, with a bit-exact reference path and an accelerated affine
 path (one register loop over the cipher's round update, for one block or a numpy batch)."""
 
-from ._kernels import affine_gbox
 from .cipher import (
     Block,
     block_to_bytes,
@@ -50,7 +49,6 @@ __all__ = [
     "ContainerFormatError",
     "ContainerHeader",
     "affine_expand",
-    "affine_gbox",
     "block_to_bytes",
     "block_to_int",
     "boxdot",

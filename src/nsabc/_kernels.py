@@ -2,11 +2,12 @@
 
 The 32 rounds run as the cipher's own register loop: ``cipher.round_update``
 with ``affine_gbox`` where ``cipher.crypt`` calls ``gbox``.  One definition
-serves a single block of Python ints and a batch of columns of the width's
-word dtype (``cipher.word_dtype``) alike, which wrap at w bits natively.
-Block data is not the ``uint64`` arrays of ``nsabc.words``.  Decryption is the
-same loop on reordered words, and the batch kernel runs either direction one
-tile of ``TILE_BLOCKS`` blocks at a time.
+serves a single block of word-dtype scalars and a batch of word-dtype columns
+(``cipher.word_dtype``) alike; that dtype wraps at w bits, which is all the
+reduction mod 2**w the cipher needs.  Block data is not the ``uint64`` arrays
+of ``nsabc.words``.  Decryption is the same loop on reordered words;
+``crypt_block`` runs either direction on one block of ints and ``crypt_batch``
+on many, one tile of ``TILE_BLOCKS`` blocks at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .cipher import reverse_words, round_update, swap_all_halves
 
-# Blocks per tile of the batch kernel and of the tweak rows (whose limbs need it below 2**32)
+# Blocks per tile of the batch kernel and of the tweak rows: i < 2**15 keeps
+# every limb sum of the tweak rows below 2**48
 TILE_BLOCKS = 1 << 15
 
 
@@ -29,27 +31,28 @@ def resolve_backend() -> str:
 # ---------------------------------------------------------------------------
 # the fast block transform
 #
-# A word is a Python int (one block) or a column of the word dtype (that word
+# A word is a word-dtype scalar (one block) or a word-dtype column (that word
 # of many blocks), and only operators that mean the same on both are used.
-# Shift and mask take the type of the schedule words (a Python int operand is
-# slower on arrays) and are cached.
+# The half-word shift takes the type of the schedule words (a Python int
+# operand is slower on arrays) and is cached, as building it per call is not cheap.
 
 
 @cache
-def _half_mask(word, w: int):
-    return word(w >> 1), word((1 << w) - 1)
+def _half(word, w: int):
+    return word(w >> 1)
 
 
 def affine_gbox(x, t, m0, m1, n0, n1, w: int):
     """G-box in affine form; equals gbox under the (m, n) correspondence.
 
-    x and t are ints or word-dtype columns; m0, m1, n0, n1 ints or scalars of that dtype.
+    x and t are word-dtype scalars or columns, m0, m1, n0, n1 scalars of that dtype, whose
+    wrap at w bits is the reduction mod 2**w; Python ints would give an unreduced, wrong value.
     """
-    half, mask = _half_mask(type(m0), w)
-    x = (x * m0 + n0) & mask
-    x = (((x << half) | (x >> half)) & mask) ^ t
-    x = (x * m1 + n1) & mask
-    return ((x << half) | (x >> half)) & mask
+    h = _half(type(m0), w)
+    x = x * m0 + n0
+    x = ((x << h) | (x >> h)) ^ t
+    x = x * m1 + n1
+    return (x << h) | (x >> h)
 
 
 def crypt_words(x, t, m, n, w: int) -> list:
@@ -70,9 +73,18 @@ def icrypt_words(y, t, m, n, w: int):
     return rs(crypt_words(rs(y), rs(t), m, n, w))
 
 
+def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
+    """``words`` on 4 int words and 4 int tweak words as scalars of the dtype of m and n; ints back.
+
+    numpy warns when scalar arithmetic wraps, but wrapping at w bits is the cipher's arithmetic.
+    """
+    word = type(m[0])
+    with np.errstate(over="ignore"):
+        return tuple(map(int, words(list(map(word, x)), list(map(word, t)), m, n, w)))
+
+
 def crypt_batch(x, t, m, n, w: int, words=crypt_words) -> np.ndarray:
     """``words`` over an (nblocks, 4) array and tweak rows or one 4-word tweak, tile by tile, in one dtype."""
-    m, n = list(np.array(m, dtype=x.dtype)), list(np.array(n, dtype=x.dtype))
     t = np.broadcast_to(t, x.shape)
     out = np.empty(x.shape, dtype=x.dtype)
     for start in range(0, x.shape[0], TILE_BLOCKS):

@@ -8,15 +8,18 @@ affine map ``m*x + n`` with ``m = 2(z-e)+1`` (always odd) and
 swaps and the tweak XOR.
 
 ``affine_gbox`` and the 32-round register loop ``crypt_words`` live in
-``_kernels``; the scalar functions here hand the loop Python ints, the batch
-functions their checked arrays, which ``_kernels.crypt_batch`` runs tile by
-tile in columns of the width's word dtype (``cipher.word_dtype``).  Key and
-unit key are validated by the schedule expansions they feed.
+``_kernels`` and run on word-dtype scalars or columns (``cipher.word_dtype``),
+whose wrap at w bits is the cipher's reduction: the scalar functions here
+hand one checked block to ``_kernels.crypt_block``, the batch functions their
+checked arrays to ``_kernels.crypt_batch``, which runs them tile by tile.
+Both use the schedule's constants in that dtype (``AffineSchedule.constants``).
+Key and unit key are validated by the schedule expansions they feed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +31,14 @@ from .words import check_cipher_width, mod_inverse
 
 @dataclass(frozen=True)
 class AffineSchedule:
-    """Precomputed (m, n) pairs for the 64 half-rounds; every m is odd."""
+    """Precomputed (m, n) pairs for the 64 half-rounds; every m is odd.
+
+    The pairs give away the key and unit words, so ``repr`` leaves them out.
+    """
 
     width: int
-    m: tuple[int, ...]
-    n: tuple[int, ...]
+    m: tuple[int, ...] = field(repr=False)
+    n: tuple[int, ...] = field(repr=False)
 
     def __post_init__(self):
         # stored as tuples, so the checked words cannot change and the schedule hashes
@@ -49,6 +55,12 @@ class AffineSchedule:
         if any(not mi & 1 for mi in self.m):
             raise ValueError("every affine multiplier must be odd")
 
+    @cached_property
+    def constants(self) -> tuple[tuple, tuple]:
+        """m and n as scalars of the word dtype, the operands of the fast transform."""
+        word = word_dtype(self.width).type
+        return tuple(map(word, self.m)), tuple(map(word, self.n))
+
 
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:
     """Expand key material straight into the affine half-round constants."""
@@ -64,7 +76,7 @@ def crypt_fast(block, tweak, schedule: AffineSchedule):
     """Optimized-path equivalent of the reference 32-round transform."""
     w = schedule.width
     x, t = check_block(block, w), check_tweak(tweak, w)
-    return tuple(_kernels.crypt_words(x, t, schedule.m, schedule.n, w))
+    return _kernels.crypt_block(x, t, *schedule.constants, w)
 
 
 def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
@@ -89,7 +101,7 @@ def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
     """
     w = inverse_schedule.width
     y, t = check_block(block, w), check_tweak(tweak, w)
-    return tuple(_kernels.icrypt_words(y, t, inverse_schedule.m, inverse_schedule.n, w))
+    return _kernels.crypt_block(y, t, *inverse_schedule.constants, w, _kernels.icrypt_words)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +150,7 @@ def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     w = schedule.width
     x = _as_block_array(blocks, w)
     t = _as_tweak_array(tweaks, x.shape[0], w)
-    return _kernels.crypt_batch(x, t, schedule.m, schedule.n, w)
+    return _kernels.crypt_batch(x, t, *schedule.constants, w)
 
 
 def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
@@ -146,4 +158,4 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.nd
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
     t = _as_tweak_array(tweaks, y.shape[0], w)
-    return _kernels.crypt_batch(y, t, inverse_schedule.m, inverse_schedule.n, w, _kernels.icrypt_words)
+    return _kernels.crypt_batch(y, t, *inverse_schedule.constants, w, _kernels.icrypt_words)

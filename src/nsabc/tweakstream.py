@@ -43,42 +43,35 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
     return int_to_block(odot(tweak_key, index, 4 * w), w)
 
 
-_LIMB_BITS = 32
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-
-
 def _limbs(value: int, w: int) -> np.ndarray:
-    """A 4w-bit int as its w/8 little-endian 32-bit limbs, held in uint64."""
-    return np.frombuffer(value.to_bytes(w // 2, "little"), dtype="<u4").astype(np.uint64)
+    """A 4w-bit int as a (w/8, 1) column of its little-endian 32-bit limbs, held in uint64."""
+    return np.frombuffer(value.to_bytes(w // 2, "little"), dtype="<u4").astype(np.uint64)[:, None]
 
 
 def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking: bool) -> np.ndarray:
     """Tweak words for blocks first_index..first_index+nblocks-1 as (n, 4); the (4,) key if not tweaking.
 
     Row i of a tile is base + i*step mod 2**(4w), with base the tile's first
-    tweak and step = 2*T0 + 1, both split into 32-bit limbs.  The limb
-    products i*step_b (i < TILE_BLOCKS < 2**32) and the base are summed in
-    uint64, then the carries ripple up until none is left; the carry out of
-    the top limb falls off, which is the reduction mod 2**(4w).  The limbs,
-    viewed as little-endian words, are the rows in ``word_dtype(w)``.
+    tweak and step = 2*T0 + 1, both split into 32-bit limbs.  The limb sums
+    base_b + i*step_b are formed limb-major in uint64; as i < TILE_BLOCKS =
+    2**15, each stays below 2**48 with the carry it takes in, so one pass from
+    the lowest limb up carries them all.  Truncating the limbs to 32 bits then
+    reduces each limb and drops the carry out of the top one, the reduction
+    mod 2**(4w); viewed as little-endian words they are the rows in ``word_dtype(w)``.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
         return np.array(tweak_at(tweak_key, 0, w), dtype=word_dtype(w))
     wm = (1 << (4 * w)) - 1
     step = _limbs((2 * tweak_key + 1) & wm, w)
-    offsets = np.arange(min(nblocks, TILE_BLOCKS), dtype=np.uint64)[:, None]
+    offsets = np.arange(min(nblocks, TILE_BLOCKS), dtype=np.uint64)
     rows = np.empty((nblocks, 4), dtype=word_dtype(w))
     for start in range(0, nblocks, TILE_BLOCKS):
         base = block_to_int(tweak_at(tweak_key, (first_index + start) & wm, w), w)
-        acc = offsets[:nblocks - start] * step + _limbs(base, w)
-        while True:
-            carry = acc >> _LIMB_BITS
-            acc &= _LIMB_MASK
-            if not carry[:, :-1].any():
-                break
-            acc[:, 1:] += carry[:, :-1]
-        rows[start:start + acc.shape[0]] = acc.astype("<u4").view(rows.dtype)
+        acc = step * offsets[:nblocks - start] + _limbs(base, w)
+        for lo, hi in zip(acc, acc[1:]):
+            hi += lo >> 32
+        rows[start:start + acc.shape[1]] = acc.T.astype("<u4", order="C").view(rows.dtype)
     return rows
 
 

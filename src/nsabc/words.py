@@ -14,7 +14,8 @@ when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
 arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
 their arithmetic wraps.  Batch block data is a different thing, held in the
 width's word dtype (``cipher.word_dtype``).  ``swap_halves`` uses bit
-operations only, and it also runs on word-dtype columns, to reorder for decryption.
+operations only, and it also runs on word-dtype scalars or columns, to reorder
+for decryption.
 
 The two core operations are
 

@@ -1,6 +1,7 @@
 """Fast path: affine schedules, the register loop, inversion, batching."""
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,16 @@ U16 = 0x1998
 X16 = (0xCDEF, 0x89AB, 0x4567, 0x0123)
 
 
+def columns(w, *words):
+    """Each int word as a 1-element column of the width's word dtype, the operands of ``affine_gbox``."""
+    return [np.array([v], dtype=word_dtype(w)) for v in words]
+
+
+def scalars(w, *words):
+    """Each int word as a scalar of the width's word dtype, the schedule operands of ``affine_gbox``."""
+    return [word_dtype(w).type(v) for v in words]
+
+
 # ---------------------------------------------------------------------------
 # the register loop against the reference trace
 
@@ -42,10 +53,13 @@ def test_fast_rounds_match_reference_trace():
         trace = []
         crypt(x, key_expand(z, w), unit_expand(u, w), tweak_expand(t, w), w, trace=trace)
         s = affine_expand(z, u, w)
+        m, n = s.constants
         for k, state, g in trace[:32]:
-            assert affine_gbox(state[0], t[k & 3], s.m[2 * k], s.m[2 * k + 1],
-                               s.n[2 * k], s.n[2 * k + 1], w) == g, f"w={w} round {k}"
-        assert crypt_fast(x, t, s) == trace[32][1], f"w={w}"
+            assert affine_gbox(*columns(w, state[0], t[k & 3]), m[2 * k], m[2 * k + 1],
+                               n[2 * k], n[2 * k + 1], w).tolist() == [g], f"w={w} round {k}"
+        y = crypt_fast(x, t, s)
+        assert y == trace[32][1], f"w={w}"
+        assert all(type(v) is int for v in y)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +84,7 @@ def test_affine_pair_is_identity_when_key_word_equals_unit_word():
     # cancels itself out and the whole transform is the identity
     ident = AffineSchedule(16, (1,) * 64, (0,) * 64)
     assert crypt_fast(X16, (0, 0, 0, 0), ident) == X16
-    assert affine_gbox(0xABCD, 0, 1, 1, 0, 0, 16) == 0xABCD
+    assert affine_gbox(*columns(16, 0xABCD, 0), *scalars(16, 1, 1, 0, 0), 16).tolist() == [0xABCD]
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -82,9 +96,9 @@ def test_affine_multipliers_always_odd(w, rng):
 
 
 def test_affine_gbox_identity_and_reference_value():
-    assert affine_gbox(0x1234, 0, 1, 1, 0, 0, 16) == 0x1234
-    s = affine_expand(Z16, U16, 16)
-    assert affine_gbox(0xCDEF, 0x4444, s.m[0], s.m[1], s.n[0], s.n[1], 16) == 0x3884
+    assert affine_gbox(*columns(16, 0x1234, 0), *scalars(16, 1, 1, 0, 0), 16).tolist() == [0x1234]
+    (m0, m1, *_), (n0, n1, *_) = affine_expand(Z16, U16, 16).constants
+    assert affine_gbox(*columns(16, 0xCDEF, 0x4444), m0, m1, n0, n1, 16).tolist() == [0x3884]
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -104,14 +118,14 @@ def test_affine_gbox_equals_gbox(w):
     m1 = (2 * (k1 - l1) + 1) & mask
     n1 = ((2 * l1 - 1) * (k1 - l1)) & mask
     # the array form: a text column, tweak and constants of the word dtype
-    m0u, m1u, n0u, n1u, c0u = (word_dtype(w).type(v) for v in (m0, m1, n0, n1, c0))
+    consts = scalars(w, m0, m1, n0, n1)
     assert np.array_equal(gbox(xs, *map(lift, (k0, k1, l0, l1, c0)), w),
-                          affine_gbox(xs.astype(word_dtype(w)), c0u, m0u, m1u, n0u, n1u, w))
-    # scalar spot checks of the same correspondence
+                          affine_gbox(xs.astype(word_dtype(w)), *scalars(w, c0), *consts, w))
+    # spot checks of the same correspondence on single words
     sr = random.Random(w)
     for _ in range(50):
         x = sr.randrange(1 << w)
-        assert gbox(x, k0, k1, l0, l1, c0, w) == affine_gbox(x, c0, m0, m1, n0, n1, w)
+        assert affine_gbox(*columns(w, x, c0), *consts, w).tolist() == [gbox(x, k0, k1, l0, l1, c0, w)]
 
 
 def test_affine_schedule_validation():
@@ -139,6 +153,12 @@ def test_affine_schedule_validation():
         s.m[0] = 1 + (1 << 20)
     assert s == AffineSchedule(16, (1,) * 64, (0,) * 64)
     assert hash(s) == hash(AffineSchedule(16, (1,) * 64, (0,) * 64))
+    # the (m, n) pairs give away the key and unit words, so repr shows none of them
+    rng = random.Random(0x5EED)
+    for w in (16, 32, 64):
+        _, z, _, u = random_tuple(rng, w)
+        s = affine_expand(z, u, w)
+        assert not set(re.findall(r"\d+", repr(s))) & set(map(str, (*s.m, *s.n))), w
 
 
 # ---------------------------------------------------------------------------

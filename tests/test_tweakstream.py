@@ -45,13 +45,17 @@ def test_closed_form_equals_recurrence(w, rng):
             rows = _tweak_rows(t0, top - 1, count, w, True)
             assert rows.shape == (count, 4) and rows.dtype == word_dtype(w)
             assert [tuple(r) for r in rows.tolist()] == [tweak_at(t0, top - 1, w)][:count]
-    # a run across the internal tile boundary, sampled around it and at random
-    t0, first, count = rng.randrange(top), rng.randrange(top), TILE_BLOCKS + 77
-    rows = _tweak_rows(t0, first, count, w, True)
-    assert rows.shape == (count, 4)
-    sample = [0, count - 1, *range(TILE_BLOCKS - 3, TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
-    for j in sample:
-        assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
+    # runs across the internal tile boundary, sampled around it and at random;
+    # with key top - 1 every step limb is 0xFFFFFFFF, so the limb sums reach
+    # about 2**47 (the one-pass carry bound), and from index 0 every base limb
+    # is 0xFFFFFFFF too, while from top - 1 a carry crosses every limb
+    count = TILE_BLOCKS + 77
+    for t0, first in ((rng.randrange(top), rng.randrange(top)), (top - 1, top - 1), (top - 1, 0)):
+        rows = _tweak_rows(t0, first, count, w, True)
+        assert rows.shape == (count, 4)
+        sample = [0, count - 1, *range(TILE_BLOCKS - 3, TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
+        for j in sample:
+            assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
 
 
 def test_tweak_injective_prefix(rng):
