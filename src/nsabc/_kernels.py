@@ -4,10 +4,13 @@ The 32 rounds run as the cipher's own register loop: ``cipher.round_update``
 with ``affine_gbox`` where ``cipher.crypt`` calls ``gbox``.  One definition
 serves a single block of word-dtype scalars and a batch of word-dtype columns
 (``cipher.word_dtype``) alike; that dtype wraps at w bits, which is all the
-reduction mod 2**w the cipher needs.  Block data is not the ``uint64`` arrays
-of ``nsabc.words``.  Decryption is the same loop on reordered words;
+reduction mod 2**w the cipher needs.  Its steps are augmented assignments,
+which update a column in place and rebind a scalar, so a batch's registers
+are rewritten where they lie.  Block data is not the ``uint64`` arrays of
+``nsabc.words``.  Decryption is the same loop on reordered words;
 ``crypt_block`` runs either direction on one block of ints and ``crypt_batch``
-on many, one tile of ``TILE_BLOCKS`` blocks at a time.
+on many, one tile of ``TILE_BLOCKS`` blocks at a time, on a copy of the
+tile's columns and with that tile's tweak words only.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .cipher import reverse_words, round_update, swap_all_halves
 
-# Blocks per tile of the batch kernel and of the tweak rows: i < 2**15 keeps
-# every limb sum of the tweak rows below 2**48
+# Blocks per tile of the batch kernel, and so of the tweak words made per tile:
+# i < 2**15 keeps every limb sum of tweakstream's tweak columns below 2**48
 TILE_BLOCKS = 1 << 15
 
 
@@ -33,6 +36,9 @@ def resolve_backend() -> str:
 #
 # A word is a word-dtype scalar (one block) or a word-dtype column (that word
 # of many blocks), and only operators that mean the same on both are used.
+# Augmented assignment writes a column in place and rebinds a scalar, so the
+# loop allocates only the first product and the rotation's other half of each
+# affine step; it writes into the registers it is given, never into a tweak.
 # The half-word shift takes the type of the schedule words (a Python int
 # operand is slower on arrays) and is cached, as building it per call is not cheap.
 
@@ -49,14 +55,26 @@ def affine_gbox(x, t, m0, m1, n0, n1, w: int):
     wrap at w bits is the reduction mod 2**w; Python ints would give an unreduced, wrong value.
     """
     h = _half(type(m0), w)
-    x = x * m0 + n0
-    x = ((x << h) | (x >> h)) ^ t
-    x = x * m1 + n1
-    return (x << h) | (x >> h)
+    x = x * m0
+    x += n0
+    r = x << h
+    x >>= h
+    x |= r
+    x ^= t
+    x *= m1
+    x += n1
+    r = x << h
+    x >>= h
+    x |= r
+    return x
 
 
 def crypt_words(x, t, m, n, w: int) -> list:
-    """The 32-round transform of the 4 words x under the 4 tweak words t."""
+    """The 32-round transform of the 4 words x under the 4 tweak words t.
+
+    Columns in x are updated in place and returned among the 4 words, so the
+    caller hands over columns it owns; t is only read.
+    """
     x0, x1, x2, x3 = x
     for k in range(32):
         g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], w)
@@ -83,11 +101,15 @@ def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
         return tuple(map(int, words(list(map(word, x)), list(map(word, t)), m, n, w)))
 
 
-def crypt_batch(x, t, m, n, w: int, words=crypt_words) -> np.ndarray:
-    """``words`` over an (nblocks, 4) array and tweak rows or one 4-word tweak, tile by tile, in one dtype."""
-    t = np.broadcast_to(t, x.shape)
+def crypt_batch(x, tweak, m, n, w: int, words=crypt_words) -> np.ndarray:
+    """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
+
+    ``tweak(start, stop)`` gives the 4 tweak words of blocks start..stop-1 (columns, or
+    scalars shared by all blocks).  ``words`` gets a contiguous copy of each tile's columns.
+    """
     out = np.empty(x.shape, dtype=x.dtype)
     for start in range(0, x.shape[0], TILE_BLOCKS):
-        tile = slice(start, start + TILE_BLOCKS)
-        np.stack(words(list(x[tile].T), list(t[tile].T), m, n, w), axis=1, out=out[tile])
+        stop = min(start + TILE_BLOCKS, x.shape[0])
+        tile = list(x[start:stop].T.copy())
+        np.stack(words(tile, tweak(start, stop), m, n, w), axis=1, out=out[start:stop])
     return out

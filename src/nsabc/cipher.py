@@ -91,15 +91,17 @@ def round_update(x0, x1, x2, x3, g, k: int):
     """Text register after round k, whose G output (of x0) is g.
 
     A type-A round XORs g into x1, a type-B round XORs x0 into x3; both then
-    put g in x0's place and rotate the register one word down.  Only ``^`` is
-    applied to the words, never in place, so the same update runs on Python
-    ints in ``crypt`` and on word-dtype scalars or columns in
-    ``_kernels.crypt_words``.
+    put g in x0's place and rotate the register one word down.  The XOR is an
+    augmented assignment: it rebinds a Python int in ``crypt`` or a word-dtype
+    scalar, and updates a word-dtype column in place in
+    ``_kernels.crypt_words``, so callers hand over columns they own.
     """
     # (k & 8) == 0 selects type A exactly on passes 1 and 3, i.e. k in [0,8) u [16,24)
     if k & 8 == 0:
-        return x1 ^ g, x2, x3, g
-    return x1, x2, x3 ^ x0, g
+        x1 ^= g
+    else:
+        x3 ^= x0
+    return x1, x2, x3, g
 
 
 def crypt(block, key_schedule, unit_schedule, tweak_schedule, w: int, trace=None) -> Block:

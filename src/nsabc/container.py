@@ -73,14 +73,9 @@ def parse_header(data: bytes) -> ContainerHeader:
     return ContainerHeader(width=width, tweaking=bool(flags & FLAG_TWEAKING), plaintext_length=length)
 
 
-def _bytes_to_words(data: bytes, w: int) -> np.ndarray:
-    """The (n, 4) block words of ``data``, as a read-only view of its octets."""
-    return np.frombuffer(data, dtype=word_dtype(w)).reshape(-1, 4)
-
-
-def _words_to_bytes(arr: np.ndarray, w: int) -> bytes:
-    # the astype copies nothing where the native byte order is little-endian
-    return arr.astype(word_dtype(w), copy=False).tobytes()
+def _bytes_to_words(data: bytes, w: int, offset: int = 0) -> np.ndarray:
+    """The (n, 4) block words of ``data`` from ``offset`` on, as a read-only view of its octets."""
+    return np.frombuffer(data, dtype=word_dtype(w), offset=offset).reshape(-1, 4)
 
 
 def encrypt_bytes(plaintext: bytes, key, tweak_key: int, unit_key: int, w: int, *,
@@ -90,18 +85,18 @@ def encrypt_bytes(plaintext: bytes, key, tweak_key: int, unit_key: int, w: int, 
     header = ContainerHeader(width=w, tweaking=tweaking, plaintext_length=len(plaintext))
     padded = plaintext + b"\x00" * (-len(plaintext) % header.block_bytes())
     ys = encrypt_blocks(_bytes_to_words(padded, w), key, tweak_key, unit_key, w, tweaking=tweaking)
-    return pack_header(header) + _words_to_bytes(ys, w)
+    # ys is C-contiguous in the little-endian word dtype, so its buffer is the ciphertext octets
+    return b"".join((pack_header(header), ys.data))
 
 
 def decrypt_bytes(blob: bytes, key, tweak_key: int, unit_key: int) -> bytes:
     """Validate a container and recover the exact original octets."""
     header = parse_header(blob)
-    bb = header.block_bytes()
-    body = blob[HEADER_LEN:]
-    expected = header.block_count() * bb
-    if len(body) != expected:
+    body_len = len(blob) - HEADER_LEN
+    expected = header.block_count() * header.block_bytes()
+    if body_len != expected:
         raise ContainerFormatError(
-            f"ciphertext length {len(body)} does not match header ({expected} octets expected)")
-    ys = _bytes_to_words(body, header.width)
+            f"ciphertext length {body_len} does not match header ({expected} octets expected)")
+    ys = _bytes_to_words(blob, header.width, HEADER_LEN)
     xs = decrypt_blocks(ys, key, tweak_key, unit_key, header.width, tweaking=header.tweaking)
-    return _words_to_bytes(xs, header.width)[: header.plaintext_length]
+    return xs.reshape(-1).view(np.uint8)[: header.plaintext_length].tobytes()

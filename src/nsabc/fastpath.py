@@ -11,13 +11,16 @@ swaps and the tweak XOR.
 ``_kernels`` and run on word-dtype scalars or columns (``cipher.word_dtype``),
 whose wrap at w bits is the cipher's reduction: the scalar functions here
 hand one checked block to ``_kernels.crypt_block``, the batch functions their
-checked arrays to ``_kernels.crypt_batch``, which runs them tile by tile.
+checked blocks to ``_kernels.crypt_batch``, which runs them tile by tile and
+asks for each tile's tweak words as it goes: from checked tweak rows or one
+checked tweak here, or from a ``TileTweaks`` that ``tweakstream`` derives.
 Both use the schedule's constants in that dtype (``AffineSchedule.constants``).
 Key and unit key are validated by the schedule expansions they feed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,30 +135,48 @@ def _as_block_array(blocks, w: int) -> np.ndarray:
     return arr
 
 
-def _as_tweak_array(tweaks, nblocks: int, w: int) -> np.ndarray:
+@dataclass(frozen=True)
+class TileTweaks:
+    """Tweaks made a tile at a time: ``tile(start, stop)`` gives the 4 tweak words of
+    blocks start..stop-1 as word-dtype columns.
+
+    ``tweakstream`` builds them from a checked tweak key and block index, so the
+    batch entry points take them as they come.
+    """
+
+    tile: Callable[[int, int], list]
+
+
+def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable[[int, int], list]:
+    """The kernel's tile tweak for ``tweaks``: a ``TileTweaks``, or checked tweak rows or one tweak."""
+    if isinstance(tweaks, TileTweaks):
+        return tweaks.tile
     arr = _words(tweaks, w, "tweak words")
-    if arr.shape not in ((4,), (nblocks, 4)):
+    if arr.shape == (4,):
+        words = list(arr)
+        return lambda start, stop: words
+    if arr.shape != (nblocks, 4):
         raise ValueError(f"expected one 4-word tweak or tweak rows of shape ({nblocks}, 4), got {arr.shape}")
-    return arr
+    # copied into contiguous columns: the kernel XORs each into 8 G calls a tile
+    return lambda start, stop: list(arr[start:stop].T.copy())
 
 
 def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     """Encrypt many blocks under one schedule; tweaks may vary per block.
 
     ``blocks`` is an (nblocks, 4) array of words (or anything convertible),
-    ``tweaks`` either one 4-word tweak or an (nblocks, 4) array.  Every word
-    must be an integer in [0, 2**w).  Returns the ciphertext words as an
-    (nblocks, 4) array of the width's word dtype.
+    ``tweaks`` one 4-word tweak, an (nblocks, 4) array or a ``TileTweaks``.
+    Every word must be an integer in [0, 2**w).  Neither array is written.
+    Returns the ciphertext words as an (nblocks, 4) array of the width's word dtype.
     """
     w = schedule.width
     x = _as_block_array(blocks, w)
-    t = _as_tweak_array(tweaks, x.shape[0], w)
-    return _kernels.crypt_batch(x, t, *schedule.constants, w)
+    return _kernels.crypt_batch(x, _tile_tweak(tweaks, x.shape[0], w), *schedule.constants, w)
 
 
 def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
     """Decrypt many blocks; the batch counterpart of ``icrypt_fast``."""
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
-    t = _as_tweak_array(tweaks, y.shape[0], w)
-    return _kernels.crypt_batch(y, t, *inverse_schedule.constants, w, _kernels.icrypt_words)
+    tweak = _tile_tweak(tweaks, y.shape[0], w)
+    return _kernels.crypt_batch(y, tweak, *inverse_schedule.constants, w, _kernels.icrypt_words)

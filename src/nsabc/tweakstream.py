@@ -7,8 +7,10 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
-points build the tweak rows with array arithmetic on 32-bit limbs, in the
-kernel's tiles of ``TILE_BLOCKS`` blocks each based afresh on ``tweak_at``.
+points hand the kernel a ``fastpath.TileTweaks`` that derives each tile's
+4 tweak columns with array arithmetic on limbs of min(w, 32) bits when the
+kernel reaches that tile of ``TILE_BLOCKS`` blocks, each tile based afresh
+on the tweak of its first block; no tweak array as large as the input is built.
 As odot is a group operation, j -> T(j) is injective, so no tweak repeats
 before 2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
@@ -24,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import TILE_BLOCKS
-from .cipher import block_to_int, encrypt, int_to_block, word_dtype
-from .fastpath import _as_block_array, affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
+from .cipher import encrypt, int_to_block, word_dtype
+from .fastpath import TileTweaks, _as_block_array, affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
 from .words import check_cipher_width, odot
 
 
@@ -44,43 +46,50 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
 
 
 def _limbs(value: int, w: int) -> np.ndarray:
-    """A 4w-bit int as a (w/8, 1) column of its little-endian 32-bit limbs, held in uint64."""
-    return np.frombuffer(value.to_bytes(w // 2, "little"), dtype="<u4").astype(np.uint64)[:, None]
+    """A 4w-bit int as a column of its little-endian limbs of min(w, 32) bits, held in uint64."""
+    return np.frombuffer(value.to_bytes(w // 2, "little"), dtype=word_dtype(min(w, 32))).astype(np.uint64)[:, None]
 
 
-def _tweak_rows(tweak_key: int, first_index: int, nblocks: int, w: int, tweaking: bool) -> np.ndarray:
-    """Tweak words for blocks first_index..first_index+nblocks-1 as (n, 4); the (4,) key if not tweaking.
+def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
+    """Tweaks of blocks first_index, first_index+1, ... as a ``TileTweaks``; the (4,) key if not tweaking.
 
-    Row i of a tile is base + i*step mod 2**(4w), with base the tile's first
-    tweak and step = 2*T0 + 1, both split into 32-bit limbs.  The limb sums
-    base_b + i*step_b are formed limb-major in uint64; as i < TILE_BLOCKS =
-    2**15, each stays below 2**48 with the carry it takes in, so one pass from
-    the lowest limb up carries them all.  Truncating the limbs to 32 bits then
-    reduces each limb and drops the carry out of the top one, the reduction
-    mod 2**(4w); viewed as little-endian words they are the rows in ``word_dtype(w)``.
+    Block i of the tile from ``start`` gets base + i*step mod 2**(4w), with
+    base the tweak of block first_index+start and step = 2*T0 + 1, both split
+    into limbs of b = min(w, 32) bits.  The limb sums base_b + i*step_b are
+    formed limb-major in uint64; as i < TILE_BLOCKS = 2**15, each stays below
+    2**48 with the carry it takes in, so one pass from the lowest limb up
+    carries them all.  Reducing each limb to b bits then drops the carry out
+    of the top one too, the reduction mod 2**(4w).  A limb is a word, or at
+    w=64 half of one; the tile's 4 tweak columns come out in ``word_dtype(w)``.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
         return np.array(tweak_at(tweak_key, 0, w), dtype=word_dtype(w))
     wm = (1 << (4 * w)) - 1
     step = _limbs((2 * tweak_key + 1) & wm, w)
-    offsets = np.arange(min(nblocks, TILE_BLOCKS), dtype=np.uint64)
-    rows = np.empty((nblocks, 4), dtype=word_dtype(w))
-    for start in range(0, nblocks, TILE_BLOCKS):
-        base = block_to_int(tweak_at(tweak_key, (first_index + start) & wm, w), w)
-        acc = step * offsets[:nblocks - start] + _limbs(base, w)
+    bits = min(w, 32)
+
+    def tile(start: int, stop: int) -> list:
+        acc = step * np.arange(stop - start, dtype=np.uint64)
+        acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
         for lo, hi in zip(acc, acc[1:]):
-            hi += lo >> 32
-        rows[start:start + acc.shape[1]] = acc.T.astype("<u4", order="C").view(rows.dtype)
-    return rows
+            hi += lo >> bits
+        if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
+            lo, acc = acc[0::2], acc[1::2]
+            lo &= 0xFFFFFFFF
+            acc <<= 32
+            acc |= lo
+        return list(acc.astype(word_dtype(w), copy=False))
+
+    return TileTweaks(tile)
 
 
 def _crypt_blocks(batch_fn, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool):
-    """``batch_fn`` over the checked blocks and their tweak rows; a list back for a list."""
+    """``batch_fn`` over the checked blocks and their tweaks; a list back for a list."""
     w = schedule.width
     as_array = isinstance(blocks, np.ndarray)
     xs = _as_block_array(blocks if as_array else list(blocks), w)
-    out = batch_fn(xs, _tweak_rows(tweak_key, first_index, xs.shape[0], w, tweaking), schedule)
+    out = batch_fn(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), schedule)
     return out if as_array else [tuple(row) for row in out.tolist()]
 
 

@@ -5,6 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsabc._kernels import TILE_BLOCKS
+from nsabc.cipher import word_dtype
+from nsabc.tweakstream import _tile_tweaks
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 
@@ -26,3 +30,16 @@ def random_tuple(rng, w):
 def lift(word):
     """An int word as a 1-element uint64 array, to pass alongside array operands."""
     return np.array([word], dtype=np.uint64)
+
+
+def tile_tweak_rows(tweak_key, first_index, count, w):
+    """The tweaks of ``count`` blocks from ``first_index`` as (count, 4) rows, made tile by
+    tile from ``tweakstream._tile_tweaks`` the way ``_kernels.crypt_batch`` asks for them."""
+    tile = _tile_tweaks(tweak_key, first_index, w, True).tile
+    rows = [np.empty((0, 4), dtype=word_dtype(w))]
+    for start in range(0, count, TILE_BLOCKS):
+        stop = min(start + TILE_BLOCKS, count)
+        columns = tile(start, stop)
+        assert all(c.dtype == word_dtype(w) and c.shape == (stop - start,) for c in columns)
+        rows.append(np.stack(columns, axis=1))
+    return np.concatenate(rows)

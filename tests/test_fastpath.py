@@ -19,6 +19,7 @@ from nsabc.fastpath import (
     icrypt_fast_batch,
     invert_affine,
 )
+from nsabc.kat import standard_trace, trace_matches_reference
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
 from nsabc.tweakstream import decrypt_blocks, encrypt_block_at, encrypt_blocks
 from nsabc.words import mod_inverse
@@ -346,8 +347,8 @@ def test_batch_matches_scalar(w):
         for i in tile_edge_rows(rng, count):
             assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
         assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
-    # read-only inputs: the kernel passes input columns straight into the round
-    # update, so an in-place write would raise here instead of changing them
+    # read-only inputs: the kernel updates its registers in place, so a write
+    # into caller data instead of the tile copy would raise here
     xa, ta = random_block_array(rng, TILE_BLOCKS + 1, w), random_block_array(rng, TILE_BLOCKS + 1, w)
     xa.setflags(write=False)
     ta.setflags(write=False)
@@ -406,6 +407,61 @@ def test_batch_memory_bounded_by_a_tile(rng):
             tracemalloc.stop()
         assert out.shape == (count, 4)
         assert peak - out.nbytes < word_columns_of_a_tile, fn.__name__
+
+
+def test_block_memory_does_not_grow_with_the_input(rng):
+    # the tweaks are made a tile at a time, so beyond its output a tweaked
+    # encrypt_blocks / decrypt_blocks call holds as much at 16 tiles as at 2
+    w = 64
+    _, z, _, u = random_tuple(rng, w)
+    t0 = rng.randrange(1 << (4 * w))
+    for fn in (encrypt_blocks, decrypt_blocks):
+        extra = []
+        for tiles in (2, 16):
+            xs = random_block_array(rng, tiles * TILE_BLOCKS + 3, w)
+            tracemalloc.start()
+            try:
+                out = fn(xs, z, t0, u, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == xs.shape
+            extra.append(peak - out.nbytes)
+        assert extra[1] < extra[0] + (1 << 20), (fn.__name__, extra)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_batch_never_writes_caller_arrays(w, rng):
+    # the kernel updates its registers in place, on copies of each tile: the
+    # caller's writable block, tweak-row and single-tweak arrays, already in
+    # the word dtype and so handed on without a conversion copy, stay as they were
+    _, z, t, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    t0 = rng.randrange(1 << (4 * w))
+    count = TILE_BLOCKS + 1
+    xa, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
+    single = np.array(t, dtype=word_dtype(w))
+    calls = (lambda: crypt_fast_batch(xa, ta, s), lambda: crypt_fast_batch(xa, single, s),
+             lambda: icrypt_fast_batch(xa, ta, inv), lambda: icrypt_fast_batch(xa, single, inv),
+             lambda: encrypt_blocks(xa, z, t0, u, w), lambda: decrypt_blocks(xa, z, t0, u, w),
+             lambda: encrypt_blocks(xa, z, t0, u, w, tweaking=False))
+    kept = [a.copy() for a in (xa, ta, single)]
+    for i, call in enumerate(calls):
+        out = call()
+        assert not np.shares_memory(out, xa), i
+        for a, before in zip((xa, ta, single), kept):
+            assert np.array_equal(a, before), i
+    # a read-only single tweak is taken as readily as read-only rows
+    single.setflags(write=False)
+    out = crypt_fast_batch(xa, single, s)
+    for i in tile_edge_rows(rng, count):
+        assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), t, s)
+    assert np.array_equal(icrypt_fast_batch(out, single, inv), xa)
+    # the same round update still serves the reference path on Python ints
+    trace = standard_trace(16)
+    assert trace_matches_reference(trace)
+    assert all(type(v) is int for state in trace.text_rows for v in state)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_tuple, random_words
+from conftest import random_tuple, random_words, tile_tweak_rows
 from nsabc._kernels import TILE_BLOCKS
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import _tweak_rows, decrypt_blocks, encrypt_blocks, tweak_at
+from nsabc.tweakstream import decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -31,27 +31,26 @@ def test_tweak_at_zero_key_yields_index():
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_closed_form_equals_recurrence(w, rng):
-    # the rows the batch paths encrypt under are the closed form of each block
-    # index, also for a run that crosses the wrap at 2**(4w)
+    # the tweaks the batch paths encrypt under, made tile by tile, are the closed
+    # form of each block index, also for a run that crosses the wrap at 2**(4w)
     top = 1 << (4 * w)
-    # a random key, the extreme keys, and one whose 32-bit limbs are all
-    # 0xFFFFFFFF but the lowest; key 0 from top - 1000 ripples a carry
-    # through every limb
+    # a random key, the extreme keys, and one whose bits are all ones above
+    # the lowest 32; key 0 from top - 1000 ripples a carry through every limb
     for t0 in (rng.randrange(top), 0, top - 1, top - (1 << 32)):
         for first in (0, top - 1000, top - 1):
             expected = [tweak_at(t0, (first + j) % top, w) for j in range(2000)]
-            assert np.array_equal(_tweak_rows(t0, first, 2000, w, True), np.array(expected, dtype=np.uint64))
+            assert np.array_equal(tile_tweak_rows(t0, first, 2000, w), np.array(expected, dtype=np.uint64))
         for count in (0, 1):
-            rows = _tweak_rows(t0, top - 1, count, w, True)
+            rows = tile_tweak_rows(t0, top - 1, count, w)
             assert rows.shape == (count, 4) and rows.dtype == word_dtype(w)
             assert [tuple(r) for r in rows.tolist()] == [tweak_at(t0, top - 1, w)][:count]
-    # runs across the internal tile boundary, sampled around it and at random;
-    # with key top - 1 every step limb is 0xFFFFFFFF, so the limb sums reach
-    # about 2**47 (the one-pass carry bound), and from index 0 every base limb
-    # is 0xFFFFFFFF too, while from top - 1 a carry crosses every limb
+    # runs across the tile boundary, sampled around it and at random; with key
+    # top - 1 every bit of every step limb is set, so the limb sums reach about
+    # 2**47 at w=32/64 (the one-pass carry bound), and from index 0 every base
+    # limb is all ones too, while from top - 1 a carry crosses every limb
     count = TILE_BLOCKS + 77
     for t0, first in ((rng.randrange(top), rng.randrange(top)), (top - 1, top - 1), (top - 1, 0)):
-        rows = _tweak_rows(t0, first, count, w, True)
+        rows = tile_tweak_rows(t0, first, count, w)
         assert rows.shape == (count, 4)
         sample = [0, count - 1, *range(TILE_BLOCKS - 3, TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
         for j in sample:
