@@ -10,7 +10,10 @@ are rewritten where they lie.  Block data is not the ``uint64`` arrays of
 ``nsabc.words``.  Decryption is the same loop on reordered words;
 ``crypt_block`` runs either direction on one block of ints and ``crypt_batch``
 on many, one tile of ``TILE_BLOCKS`` blocks at a time, on a copy of the
-tile's columns and with that tile's tweak words only.
+tile's columns and with that tile's tweak words only.  Its callers check
+what they hand it: ``fastpath``'s batch entry points the blocks and the
+tweak rows or tweak, ``tweakstream`` the blocks, tweak key and first index
+from which its tile function derives each tile's tweak columns.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ swaps and the tweak XOR.
 whose wrap at w bits is the cipher's reduction: the scalar functions here
 hand one checked block to ``_kernels.crypt_block``, the batch functions their
 checked blocks to ``_kernels.crypt_batch``, which runs them tile by tile and
-asks for each tile's tweak words as it goes: from checked tweak rows or one
-checked tweak here, or from a ``TileTweaks`` that ``tweakstream`` derives.
+asks for each tile's tweak words as it goes, from checked tweak rows or one
+checked tweak (``tweakstream`` hands the kernel its derived tweaks itself).
 Both use the schedule's constants in that dtype (``AffineSchedule.constants``).
 Key and unit key are validated by the schedule expansions they feed.
 """
@@ -61,8 +61,8 @@ class AffineSchedule:
     @cached_property
     def constants(self) -> tuple[tuple, tuple]:
         """m and n as scalars of the word dtype, the operands of the fast transform."""
-        word = word_dtype(self.width).type
-        return tuple(map(word, self.m)), tuple(map(word, self.n))
+        dtype = word_dtype(self.width)
+        return tuple(np.array(self.m, dtype=dtype)), tuple(np.array(self.n, dtype=dtype))
 
 
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:
@@ -135,22 +135,8 @@ def _as_block_array(blocks, w: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class TileTweaks:
-    """Tweaks made a tile at a time: ``tile(start, stop)`` gives the 4 tweak words of
-    blocks start..stop-1 as word-dtype columns.
-
-    ``tweakstream`` builds them from a checked tweak key and block index, so the
-    batch entry points take them as they come.
-    """
-
-    tile: Callable[[int, int], list]
-
-
 def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable[[int, int], list]:
-    """The kernel's tile tweak for ``tweaks``: a ``TileTweaks``, or checked tweak rows or one tweak."""
-    if isinstance(tweaks, TileTweaks):
-        return tweaks.tile
+    """The kernel's tile tweak for ``tweaks``: checked tweak rows or one checked tweak."""
     arr = _words(tweaks, w, "tweak words")
     if arr.shape == (4,):
         words = list(arr)
@@ -165,7 +151,7 @@ def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     """Encrypt many blocks under one schedule; tweaks may vary per block.
 
     ``blocks`` is an (nblocks, 4) array of words (or anything convertible),
-    ``tweaks`` one 4-word tweak, an (nblocks, 4) array or a ``TileTweaks``.
+    ``tweaks`` one 4-word tweak or an (nblocks, 4) array.
     Every word must be an integer in [0, 2**w).  Neither array is written.
     Returns the ciphertext words as an (nblocks, 4) array of the width's word dtype.
     """

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 from .cipher import crypt, int_to_block
 from .schedules import key_expand, tweak_expand, unit_expand
-from .words import check_cipher_width, odot
+from .words import CIPHER_WIDTHS, check_cipher_width, odot
 
-#: standard single-block vector per width (4w/5w/4w/w-bit values)
-KAT_VECTORS = {
-    16: {"x": 0x0123456789ABCDEF, "z": 0x88880777006600050000, "t": 0x0001002203334444, "u": 0x1998},
-    32: {"x": 0x0123456789ABCDEF, "z": 0x88880777006600050000, "t": 0x0001002203334444, "u": 0x1998},
-    64: {"x": 0x0123456789ABCDEF, "z": 0x88880777006600050000, "t": 0x0001002203334444, "u": 0x1998},
-}
+#: standard single-block vector per width (4w/5w/4w/w-bit values): the w=16 one at every width
+KAT_VECTORS = {w: {"x": 0x0123456789ABCDEF, "z": 0x88880777006600050000, "t": 0x0001002203334444, "u": 0x1998}
+               for w in CIPHER_WIDTHS}
 
 # Reference trace of the w=16 standard vector.  Columns: k, unit register,
 # key register (z4..z0); even rows continue with k/2, tweak register (t3..t0)

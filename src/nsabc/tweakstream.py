@@ -7,9 +7,9 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
-points hand the kernel a ``fastpath.TileTweaks`` that derives each tile's
-4 tweak columns with array arithmetic on limbs of min(w, 32) bits when the
-kernel reaches that tile of ``TILE_BLOCKS`` blocks, each tile based afresh
+points hand ``_kernels.crypt_batch`` a tile function that derives each
+tile's 4 tweak columns with array arithmetic on limbs of min(w, 32) bits when
+the kernel reaches that tile of ``TILE_BLOCKS`` blocks, each tile based afresh
 on the tweak of its first block; no tweak array as large as the input is built.
 As odot is a group operation, j -> T(j) is injective, so no tweak repeats
 before 2**(4w) blocks; that bound is documented, not enforced.
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import TILE_BLOCKS
+from ._kernels import TILE_BLOCKS, crypt_batch, crypt_words, icrypt_words
 from .cipher import encrypt, int_to_block, word_dtype
-from .fastpath import TileTweaks, _as_block_array, affine_expand, crypt_fast_batch, icrypt_fast_batch, invert_affine
+from .fastpath import _as_block_array, _tile_tweak, affine_expand, invert_affine
 from .words import check_cipher_width, odot
 
 
@@ -51,7 +51,7 @@ def _limbs(value: int, w: int) -> np.ndarray:
 
 
 def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
-    """Tweaks of blocks first_index, first_index+1, ... as a ``TileTweaks``; the (4,) key if not tweaking.
+    """The kernel's tile tweak for blocks first_index, first_index+1, ...; the key for all if not tweaking.
 
     Block i of the tile from ``start`` gets base + i*step mod 2**(4w), with
     base the tweak of block first_index+start and step = 2*T0 + 1, both split
@@ -64,7 +64,7 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
-        return np.array(tweak_at(tweak_key, 0, w), dtype=word_dtype(w))
+        return _tile_tweak(tweak_at(tweak_key, 0, w), 0, w)
     wm = (1 << (4 * w)) - 1
     step = _limbs((2 * tweak_key + 1) & wm, w)
     bits = min(w, 32)
@@ -81,15 +81,15 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
             acc |= lo
         return list(acc.astype(word_dtype(w), copy=False))
 
-    return TileTweaks(tile)
+    return tile
 
 
-def _crypt_blocks(batch_fn, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool):
-    """``batch_fn`` over the checked blocks and their tweaks; a list back for a list."""
+def _crypt_blocks(words, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool):
+    """The kernel's ``words`` over the checked blocks and their tweaks; a list back for a list."""
     w = schedule.width
     as_array = isinstance(blocks, np.ndarray)
     xs = _as_block_array(blocks if as_array else list(blocks), w)
-    out = batch_fn(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), schedule)
+    out = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), *schedule.constants, w, words)
     return out if as_array else [tuple(row) for row in out.tolist()]
 
 
@@ -103,14 +103,14 @@ def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
     returns the same kind.
     """
     schedule = affine_expand(key, unit_key, w)
-    return _crypt_blocks(crypt_fast_batch, schedule, blocks, tweak_key, first_index, tweaking)
+    return _crypt_blocks(crypt_words, schedule, blocks, tweak_key, first_index, tweaking)
 
 
 def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
                    tweaking: bool = True, first_index: int = 0):
     """Invert ``encrypt_blocks``; ``first_index`` gives random access to any slice."""
     inverse = invert_affine(affine_expand(key, unit_key, w))
-    return _crypt_blocks(icrypt_fast_batch, inverse, blocks, tweak_key, first_index, tweaking)
+    return _crypt_blocks(icrypt_words, inverse, blocks, tweak_key, first_index, tweaking)
 
 
 def encrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):

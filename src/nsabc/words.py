@@ -36,18 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-MIN_WIDTH = 2
-MAX_WIDTH = 64
-
 # widths the block cipher itself is instantiated at
 CIPHER_WIDTHS = (16, 32, 64)
-
-
-def check_width(w: int) -> int:
-    """Validate a word width for the algebra layer (any even 2..64)."""
-    if not isinstance(w, int) or w < MIN_WIDTH or w > MAX_WIDTH or w % 2:
-        raise ValueError(f"word width must be an even integer in [2, 64], got {w!r}")
-    return w
 
 
 def check_cipher_width(w: int) -> int:

@@ -35,7 +35,7 @@ def lift(word):
 def tile_tweak_rows(tweak_key, first_index, count, w):
     """The tweaks of ``count`` blocks from ``first_index`` as (count, 4) rows, made tile by
     tile from ``tweakstream._tile_tweaks`` the way ``_kernels.crypt_batch`` asks for them."""
-    tile = _tile_tweaks(tweak_key, first_index, w, True).tile
+    tile = _tile_tweaks(tweak_key, first_index, w, True)
     rows = [np.empty((0, 4), dtype=word_dtype(w))]
     for start in range(0, count, TILE_BLOCKS):
         stop = min(start + TILE_BLOCKS, count)

@@ -1,8 +1,11 @@
 """Fast path: affine schedules, the register loop, inversion, batching."""
 
+import ast
+import importlib
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -521,9 +524,19 @@ def test_batch_rejects_bad_words(w):
         for fn in (encrypt_blocks, decrypt_blocks):
             with pytest.raises(ValueError):
                 fn(blocks, z, t0, u, w)
+    calls = []
+
+    def tile(start, stop):  # a tile function, with an out-of-range word in 1-element columns
+        calls.append((start, stop))
+        return [np.array([over], dtype=np.uint64)] * 4
+
     for fn, sched in batch_calls:
         with pytest.raises(ValueError):
             fn([x], (over, 0, 0, 0), sched)          # tweak word >= 2**w
+        for tweaks in (tile, [tile] * 4, None, "tweak", object()):  # only words get in
+            with pytest.raises(ValueError):
+                fn([x], tweaks, sched)
+    assert calls == []
     # lists whose rows are not 4 words are refused, not re-chunked into blocks
     for blocks in ([(1, 2, 3)] * 4, [tuple(range(1, 9))]):
         for fn in (encrypt_blocks, decrypt_blocks):
@@ -535,3 +548,14 @@ def test_batch_rejects_bad_words(w):
 
 def test_backend_resolution():
     assert resolve_backend() == "numpy"
+
+
+def test_traced_entry_points_exist():
+    # perfbench wraps these names by reference and calls resolve_backend for its meta
+    # line; a missing one would otherwise surface only as a failed benchmark subprocess
+    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    entry_points = next(ast.literal_eval(node.value) for node in tracer.body
+                        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENTRY_POINTS")
+    names = [(module, name) for module, names in entry_points.items() for name in names]
+    for module, name in names + [("_kernels", "resolve_backend")]:
+        assert callable(getattr(importlib.import_module(f"nsabc.{module}"), name, None)), f"nsabc.{module}.{name}"

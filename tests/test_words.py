@@ -16,7 +16,6 @@ from nsabc.cipher import gbox
 from nsabc.words import (
     boxdot,
     boxdot_e,
-    check_width,
     inv_e,
     mod_inverse,
     odot,
@@ -167,13 +166,6 @@ def test_array_contract():
     assert np.array_equal(odot(ALL8, 0xA7, W8), odot(ALL8, lift(0xA7), W8))
     with pytest.raises(OverflowError):
         boxdot_e(ALL8, ALL8, 0xA7, W8)
-
-
-def test_check_width():
-    for bad in (0, 1, 3, 65, 66, -2):
-        with pytest.raises(ValueError):
-            check_width(bad)
-    assert check_width(8) == 8
 
 
 # ---------------------------------------------------------------------------
