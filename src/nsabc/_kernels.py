@@ -7,22 +7,21 @@ serves a single block of word-dtype scalars and a batch of word-dtype columns
 reduction mod 2**w the cipher needs.  Its steps are augmented assignments,
 which update a column in place and rebind a scalar, so a batch's registers
 are rewritten where they lie.  Block data is not the ``uint64`` arrays of
-``nsabc.words``.  Decryption is the same loop on reordered words;
-``crypt_block`` runs either direction on one block of ints and ``crypt_batch``
-on many, one tile of ``TILE_BLOCKS`` blocks at a time, on a copy of the
-tile's columns and with that tile's tweak words only.  Its callers check
-what they hand it: ``fastpath``'s batch entry points the blocks and the
-tweak rows or tweak, ``tweakstream`` the blocks, tweak key and first index
-from which its tile function derives each tile's tweak columns.
+``nsabc.words``.  Decryption is the same loop on reordered words: the word
+order reversed and each word's halves swapped.  ``crypt_block`` runs either
+direction on one block of ints and ``crypt_batch`` on many, one tile of
+``TILE_BLOCKS`` blocks at a time, on a copy of the tile's columns and with
+that tile's tweak words only.  Its callers check what they hand it:
+``fastpath``'s batch entry points the blocks and the tweak rows or tweak,
+``tweakstream`` the blocks, tweak key and first index from which its tile
+function derives each tile's tweak columns.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
-from .cipher import reverse_words, round_update, swap_all_halves
+from .cipher import round_update
 
 # Blocks per tile of the batch kernel, and so of the tweak words made per tile:
 # i < 2**15 keeps every limb sum of tweakstream's tweak columns below 2**48
@@ -42,22 +41,21 @@ def resolve_backend() -> str:
 # Augmented assignment writes a column in place and rebinds a scalar, so the
 # loop allocates only the first product and the rotation's other half of each
 # affine step; it writes into the registers it is given, never into a tweak.
-# The half-word shift takes the type of the schedule words (a Python int
-# operand is slower on arrays) and is cached, as building it per call is not cheap.
+# h, the half-word shift w/2, is an operand of the word dtype like the schedule
+# words (a Python int operand is slower on arrays), made once per block or batch.
+# ``crypt_batch`` hands the loop m, n and h as 0-d arrays: numpy takes a 0-d
+# operand faster than a scalar, about 0.9 against 1.4 us for an in-place op on
+# 16 blocks, and 8 of the 12 ops of a round have one.  The scalar path keeps
+# scalars, on which 0-d operands would be the slow side.
 
 
-@cache
-def _half(word, w: int):
-    return word(w >> 1)
-
-
-def affine_gbox(x, t, m0, m1, n0, n1, w: int):
+def affine_gbox(x, t, m0, m1, n0, n1, h):
     """G-box in affine form; equals gbox under the (m, n) correspondence.
 
-    x and t are word-dtype scalars or columns, m0, m1, n0, n1 scalars of that dtype, whose
-    wrap at w bits is the reduction mod 2**w; Python ints would give an unreduced, wrong value.
+    x and t are word-dtype scalars or columns, m0, m1, n0, n1 and the half-word shift h
+    scalars or 0-d arrays of that dtype, whose wrap at w bits is the reduction mod 2**w;
+    Python ints would give an unreduced, wrong value.
     """
-    h = _half(type(m0), w)
     x = x * m0
     x += n0
     r = x << h
@@ -72,7 +70,7 @@ def affine_gbox(x, t, m0, m1, n0, n1, w: int):
     return x
 
 
-def crypt_words(x, t, m, n, w: int) -> list:
+def crypt_words(x, t, m, n, h) -> list:
     """The 32-round transform of the 4 words x under the 4 tweak words t.
 
     Columns in x are updated in place and returned among the 4 words, so the
@@ -80,18 +78,26 @@ def crypt_words(x, t, m, n, w: int) -> list:
     """
     x0, x1, x2, x3 = x
     for k in range(32):
-        g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], w)
+        g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
         x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
     return [x0, x1, x2, x3]
 
 
-def icrypt_words(y, t, m, n, w: int):
+def _reordered(words, h) -> list:
+    """The words in reverse order with their halves swapped, as new words: a tile's
+    tweak columns may be read-only, and a single tweak's words serve every tile."""
+    out = []
+    for x in reversed(words):
+        r = x >> h
+        r |= x << h  # the shifted copy is freed here, not with the next word
+        out.append(r)
+    return out
+
+
+def icrypt_words(y, t, m, n, h):
     """``crypt_words`` inverted, for an inverse schedule: the words reversed with halves
     swapped are encrypted, and the result, reordered alike, is the plaintext."""
-    def rs(words):
-        return swap_all_halves(reverse_words(words), w)
-
-    return rs(crypt_words(rs(y), rs(t), m, n, w))
+    return _reordered(crypt_words(_reordered(y, h), _reordered(t, h), m, n, h), h)
 
 
 def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
@@ -101,18 +107,21 @@ def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
     """
     word = type(m[0])
     with np.errstate(over="ignore"):
-        return tuple(map(int, words(list(map(word, x)), list(map(word, t)), m, n, w)))
+        return tuple(map(int, words(list(map(word, x)), list(map(word, t)), m, n, word(w >> 1))))
 
 
 def crypt_batch(x, tweak, m, n, w: int, words=crypt_words) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
 
-    ``tweak(start, stop)`` gives the 4 tweak words of blocks start..stop-1 (columns, or
-    scalars shared by all blocks).  ``words`` gets a contiguous copy of each tile's columns.
+    m and n are scalars of the word dtype (``AffineSchedule.constants``).  ``tweak(start,
+    stop)`` gives the 4 tweak words of blocks start..stop-1 (columns, or scalars shared by
+    all blocks).  ``words`` gets a contiguous copy of each tile's columns, and m, n and
+    the half-word shift as 0-d arrays of the word dtype.
     """
+    m, n, h = list(map(np.array, m)), list(map(np.array, n)), np.array(w >> 1, dtype=x.dtype)
     out = np.empty(x.shape, dtype=x.dtype)
     for start in range(0, x.shape[0], TILE_BLOCKS):
         stop = min(start + TILE_BLOCKS, x.shape[0])
         tile = list(x[start:stop].T.copy())
-        np.stack(words(tile, tweak(start, stop), m, n, w), axis=1, out=out[start:stop])
+        np.stack(words(tile, tweak(start, stop), m, n, h), axis=1, out=out[start:stop])
     return out

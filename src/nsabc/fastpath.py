@@ -119,6 +119,8 @@ def _words(values, w: int, what: str) -> np.ndarray:
     top = 1 << w
     if arr.dtype == object:
         ok = all(isinstance(v, (int, np.integer)) and 0 <= v < top for v in arr.flat)
+    elif arr.dtype.kind == "u" and arr.dtype.itemsize * 8 <= w:
+        ok = True  # holds only words, so there is nothing to scan for
     else:
         ok = arr.dtype.kind in "iu" and (arr.size == 0 or (int(arr.min()) >= 0 and int(arr.max()) < top))
     if not ok:

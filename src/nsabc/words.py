@@ -13,9 +13,8 @@ the two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
 when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
 arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
 their arithmetic wraps.  Batch block data is a different thing, held in the
-width's word dtype (``cipher.word_dtype``).  ``swap_halves`` uses bit
-operations only, and it also runs on word-dtype scalars or columns, to reorder
-for decryption.
+width's word dtype (``cipher.word_dtype``), whose decrypt reordering is
+``_kernels``' own.
 
 The two core operations are
 

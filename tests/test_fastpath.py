@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import lift, random_tuple, random_words
-from nsabc._kernels import TILE_BLOCKS, affine_gbox, resolve_backend
+from nsabc._kernels import TILE_BLOCKS, affine_gbox, crypt_batch, icrypt_words, resolve_backend
 from nsabc.cipher import crypt, decrypt, gbox, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
@@ -39,7 +39,7 @@ def columns(w, *words):
 
 
 def scalars(w, *words):
-    """Each int word as a scalar of the width's word dtype, the schedule operands of ``affine_gbox``."""
+    """Each int word as a scalar of the width's word dtype: ``affine_gbox``'s constants and shift."""
     return [word_dtype(w).type(v) for v in words]
 
 
@@ -59,8 +59,8 @@ def test_fast_rounds_match_reference_trace():
         s = affine_expand(z, u, w)
         m, n = s.constants
         for k, state, g in trace[:32]:
-            assert affine_gbox(*columns(w, state[0], t[k & 3]), m[2 * k], m[2 * k + 1],
-                               n[2 * k], n[2 * k + 1], w).tolist() == [g], f"w={w} round {k}"
+            assert affine_gbox(*columns(w, state[0], t[k & 3]), m[2 * k], m[2 * k + 1], n[2 * k],
+                               n[2 * k + 1], *scalars(w, w >> 1)).tolist() == [g], f"w={w} round {k}"
         y = crypt_fast(x, t, s)
         assert y == trace[32][1], f"w={w}"
         assert all(type(v) is int for v in y)
@@ -88,7 +88,7 @@ def test_affine_pair_is_identity_when_key_word_equals_unit_word():
     # cancels itself out and the whole transform is the identity
     ident = AffineSchedule(16, (1,) * 64, (0,) * 64)
     assert crypt_fast(X16, (0, 0, 0, 0), ident) == X16
-    assert affine_gbox(*columns(16, 0xABCD, 0), *scalars(16, 1, 1, 0, 0), 16).tolist() == [0xABCD]
+    assert affine_gbox(*columns(16, 0xABCD, 0), *scalars(16, 1, 1, 0, 0, 8)).tolist() == [0xABCD]
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -100,9 +100,9 @@ def test_affine_multipliers_always_odd(w, rng):
 
 
 def test_affine_gbox_identity_and_reference_value():
-    assert affine_gbox(*columns(16, 0x1234, 0), *scalars(16, 1, 1, 0, 0), 16).tolist() == [0x1234]
+    assert affine_gbox(*columns(16, 0x1234, 0), *scalars(16, 1, 1, 0, 0, 8)).tolist() == [0x1234]
     (m0, m1, *_), (n0, n1, *_) = affine_expand(Z16, U16, 16).constants
-    assert affine_gbox(*columns(16, 0xCDEF, 0x4444), m0, m1, n0, n1, 16).tolist() == [0x3884]
+    assert affine_gbox(*columns(16, 0xCDEF, 0x4444), m0, m1, n0, n1, *scalars(16, 8)).tolist() == [0x3884]
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -121,15 +121,15 @@ def test_affine_gbox_equals_gbox(w):
     n0 = ((2 * l0 - 1) * (k0 - l0)) & mask
     m1 = (2 * (k1 - l1) + 1) & mask
     n1 = ((2 * l1 - 1) * (k1 - l1)) & mask
-    # the array form: a text column, tweak and constants of the word dtype
-    consts = scalars(w, m0, m1, n0, n1)
+    # the array form: a text column, tweak, constants and half-word shift of the word dtype
+    consts = scalars(w, m0, m1, n0, n1, w >> 1)
     assert np.array_equal(gbox(xs, *map(lift, (k0, k1, l0, l1, c0)), w),
-                          affine_gbox(xs.astype(word_dtype(w)), *scalars(w, c0), *consts, w))
+                          affine_gbox(xs.astype(word_dtype(w)), *scalars(w, c0), *consts))
     # spot checks of the same correspondence on single words
     sr = random.Random(w)
     for _ in range(50):
         x = sr.randrange(1 << w)
-        assert affine_gbox(*columns(w, x, c0), *consts, w).tolist() == [gbox(x, k0, k1, l0, l1, c0, w)]
+        assert affine_gbox(*columns(w, x, c0), *consts).tolist() == [gbox(x, k0, k1, l0, l1, c0, w)]
 
 
 def test_affine_schedule_validation():
@@ -468,6 +468,29 @@ def test_batch_never_writes_caller_arrays(w, rng):
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
+def test_decrypt_reorder_writes_no_tweak(w, rng):
+    # icrypt_words reorders a tile's words into new arrays: a tile function may
+    # hand it read-only columns, on which a reorder in place would raise, and one
+    # tweak's words serve every tile, so they must reach each tile unchanged
+    _, z, t, u = random_tuple(rng, w)
+    inv = invert_affine(affine_expand(z, u, w))
+    count = 2 * TILE_BLOCKS + 5
+    ya, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
+    columns = ta.T.copy()
+    columns.setflags(write=False)
+    out = crypt_batch(ya, lambda start, stop: list(columns[:, start:stop]), *inv.constants, w, icrypt_words)
+    rows = tile_edge_rows(rng, count)
+    for i in rows:
+        assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
+    single = np.array(t, dtype=word_dtype(w))
+    single.setflags(write=False)
+    for tweak in (t, single):  # Python ints, and a read-only array of the word dtype
+        out = icrypt_fast_batch(ya, tweak, inv)
+        for i in rows:
+            assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), t, inv), (type(tweak), i)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
 def test_batch_dtype_contract(w, rng):
     # whatever integer dtype the words come in, the batch paths return the same
     # values as an array of the width's word dtype
@@ -477,6 +500,11 @@ def test_batch_dtype_contract(w, rng):
     t0 = rng.randrange(1 << (4 * w))
     xs = [random_words(rng, 4, w - 1) for _ in range(6)]  # below 2**(w-1), so int64 holds them
     ts = [random_words(rng, 4, w - 1) for _ in range(6)]
+    # an unsigned dtype narrower than the word (uint8 at w=16, uint16 at w=32, uint32 at
+    # w=64) holds only words, so the batch paths take it without scanning its range
+    narrow = np.dtype(f"u{w // 16}")
+    small_xs = [random_words(rng, 4, 8 * narrow.itemsize) for _ in range(6)]
+    small_ts = [random_words(rng, 4, 8 * narrow.itemsize) for _ in range(6)]
     calls = (lambda b, tw: crypt_fast_batch(b, tw, s), lambda b, tw: icrypt_fast_batch(b, tw, inv),
              lambda b, _: encrypt_blocks(b, z, t0, u, w), lambda b, _: decrypt_blocks(b, z, t0, u, w))
     for call in calls:
@@ -485,6 +513,9 @@ def test_batch_dtype_contract(w, rng):
         for dtype in (np.uint64, np.int64):
             out = call(np.array(xs, dtype=dtype), np.array(ts, dtype=dtype))
             assert out.dtype == word_dtype(w) and np.array_equal(out, native)
+        small = call(np.array(small_xs, dtype=word_dtype(w)), np.array(small_ts, dtype=word_dtype(w)))
+        out = call(np.array(small_xs, dtype=narrow), np.array(small_ts, dtype=narrow))
+        assert out.dtype == word_dtype(w) and np.array_equal(out, small)
         listed = call(xs, ts)  # the block sequences give a list back for a list
         assert isinstance(listed, list) or listed.dtype == word_dtype(w)
         assert np.array_equal(np.array(listed, dtype=object), native)
