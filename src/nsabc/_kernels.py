@@ -6,13 +6,15 @@ serves a single block of word-dtype scalars and a batch of word-dtype columns
 (``cipher.word_dtype``) alike; that dtype wraps at w bits, which is all the
 reduction mod 2**w the cipher needs.  Its steps are augmented assignments,
 which update a column in place and rebind a scalar, so a batch's registers
-are rewritten where they lie.  Block data is not the ``uint64`` arrays of
-``nsabc.words``.  Decryption is the same loop on reordered words: the word
-order reversed and each word's halves swapped.  ``crypt_block`` runs either
-direction on one block of ints and ``crypt_batch`` on many, one tile of
-``TILE_BLOCKS`` blocks at a time, on a copy of the tile's columns and with
-that tile's tweak words only.  Its callers check what they hand it:
-``fastpath``'s batch entry points the blocks and the tweak rows or tweak,
+are rewritten where they lie.  Decryption is the same loop on reordered
+words: the word order reversed and each word's halves swapped.
+``crypt_block`` runs either direction on one block of ints and
+``crypt_batch`` on many, one tile of ``TILE_BLOCKS`` blocks at a time, on a
+copy of the tile's columns and with that tile's tweak words only.  Both take
+the schedule's m and n in a form that ``fastpath.AffineSchedule`` makes once
+from its read-only word-dtype arrays: scalars for ``crypt_block``, 0-d arrays
+for ``crypt_batch``.  Its callers check what they hand it: ``fastpath``'s
+batch entry points the blocks and the tweak rows or tweak,
 ``tweakstream`` the blocks, tweak key and first index from which its tile
 function derives each tile's tweak columns.
 """
@@ -43,10 +45,12 @@ def resolve_backend() -> str:
 # affine step; it writes into the registers it is given, never into a tweak.
 # h, the half-word shift w/2, is an operand of the word dtype like the schedule
 # words (a Python int operand is slower on arrays), made once per block or batch.
-# ``crypt_batch`` hands the loop m, n and h as 0-d arrays: numpy takes a 0-d
-# operand faster than a scalar, about 0.9 against 1.4 us for an in-place op on
-# 16 blocks, and 8 of the 12 ops of a round have one.  The scalar path keeps
-# scalars, on which 0-d operands would be the slow side.
+# On columns m, n and h are 0-d arrays: numpy takes a 0-d operand faster than a
+# scalar, about 0.9 against 1.4 us for an in-place op on 16 blocks, and 8 of the
+# 12 ops of a round have one.  The schedule makes its 128 once
+# (``AffineSchedule.operands``, about 15 us), so ``crypt_batch`` builds only h per
+# call; they are read-only, and the loop only ever reads them.  The scalar path
+# keeps scalars, on which 0-d operands would be the slow side.
 
 
 def affine_gbox(x, t, m0, m1, n0, n1, h):
@@ -113,12 +117,12 @@ def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
 def crypt_batch(x, tweak, m, n, w: int, words=crypt_words) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
 
-    m and n are scalars of the word dtype (``AffineSchedule.constants``).  ``tweak(start,
-    stop)`` gives the 4 tweak words of blocks start..stop-1 (columns, or scalars shared by
-    all blocks).  ``words`` gets a contiguous copy of each tile's columns, and m, n and
-    the half-word shift as 0-d arrays of the word dtype.
+    m and n are read-only 0-d arrays of the word dtype, made once per schedule
+    (``AffineSchedule.operands``).  ``tweak(start, stop)`` gives the 4 tweak words of
+    blocks start..stop-1 (columns, or scalars shared by all blocks).  ``words`` gets a
+    contiguous copy of each tile's columns, m, n and the half-word shift as a 0-d array.
     """
-    m, n, h = list(map(np.array, m)), list(map(np.array, n)), np.array(w >> 1, dtype=x.dtype)
+    h = np.array(w >> 1, dtype=x.dtype)
     out = np.empty(x.shape, dtype=x.dtype)
     for start in range(0, x.shape[0], TILE_BLOCKS):
         stop = min(start + TILE_BLOCKS, x.shape[0])

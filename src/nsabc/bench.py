@@ -1,7 +1,9 @@
 """Throughput benchmark: reference path vs. the fast paths.
 
 Measures repeated-key bulk encryption (schedules precomputed once, as a real
-bulk workload would) and reports bytes/second per path.  When a CPU frequency
+bulk workload would) and reports bytes/second per path, and beside it the
+microseconds per call of the schedule set-up that a fresh key pays:
+``affine_expand`` and ``invert_affine``.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
 numbers can be eyeballed against the paper's own figure for its x86-64
 software implementation (circa 9 cpb at w=64, from its abstract); that
@@ -14,12 +16,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cipher import crypt, word_dtype
-from .fastpath import affine_expand, crypt_fast, crypt_fast_batch
+from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, invert_affine
 from .schedules import key_expand, tweak_expand, unit_expand
 from .words import check_cipher_width
 
@@ -44,6 +47,20 @@ class BenchResult:
         if hz is None or self.blocks == 0:
             return None
         return hz * self.seconds / (self.blocks * (self.width // 2))
+
+
+@dataclass(frozen=True)
+class SetupResult:
+    """Repeated calls of one schedule set-up stage at one width."""
+
+    stage: str
+    width: int
+    calls: int
+    seconds: float
+
+    @property
+    def us_per_call(self) -> float:
+        return self.seconds / self.calls * 1e6
 
 
 def estimate_cpu_hz() -> tuple[float, str] | None:
@@ -76,8 +93,8 @@ def _measure(fn, seconds: float, blocks_per_call: int) -> tuple[int, float]:
             return total, elapsed
 
 
-def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
-    """Benchmark the reference, scalar fast and batch paths at one width."""
+def _inputs(w: int, seconds: float, seed: int) -> tuple[random.Random, tuple, tuple, int, tuple]:
+    """The seeded generator, and the key, tweak, unit key and block it draws first."""
     check_cipher_width(w)
     if not 0 < seconds < math.inf:  # also false for nan
         raise ValueError("benchmark duration must be a positive finite number of seconds")
@@ -87,6 +104,13 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
     t = tuple(rng.randrange(top) for _ in range(4))
     u = rng.randrange(top)
     x = tuple(rng.randrange(top) for _ in range(4))
+    return rng, z, t, u, x
+
+
+def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
+    """Benchmark the reference, scalar fast and batch paths at one width."""
+    rng, z, t, u, x = _inputs(w, seconds, seed)
+    top = 1 << w
 
     ks, ls, cs = key_expand(z, w), unit_expand(u, w), tweak_expand(t, w)
     schedule = affine_expand(z, u, w)
@@ -102,8 +126,19 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
     ]
 
 
-def render_report(results: list[BenchResult], clock: tuple[float, str] | None) -> str:
-    """``clock`` is the (hz, source) pair of ``estimate_cpu_hz``."""
+def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
+    """Time the schedule set-up of one key at one width: expansion, then inversion."""
+    _, z, _, u, _ = _inputs(w, seconds, seed)
+    schedule = affine_expand(z, u, w)
+    return [
+        SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
+        SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
+    ]
+
+
+def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
+                  setup: Sequence[SetupResult] = ()) -> str:
+    """``clock`` is the (hz, source) pair of ``estimate_cpu_hz``; no key material is printed."""
     lines = []
     if clock is not None:
         hz, source = clock
@@ -118,11 +153,17 @@ def render_report(results: list[BenchResult], clock: tuple[float, str] | None) -
         cpb = r.cycles_per_byte(hz)
         cpb_text = f"{cpb:12.1f}" if cpb is not None else f"{'-':>12}"
         lines.append(f"{r.path:<20} {r.width:>3} {r.bytes_per_second / 1e6:>10.3f} {cpb_text}")
+    if setup:
+        lines.append("")
+        lines.append(f"{'schedule set-up':<20} {'w':>3} {'us/call':>10}")
+        for s in setup:
+            lines.append(f"{s.stage:<20} {s.width:>3} {s.us_per_call:>10.1f}")
     return "\n".join(lines)
 
 
 def run(widths=DEFAULT_WIDTHS, seconds: float = 1.0, seed: int = 0) -> tuple[str, list[BenchResult]]:
-    results = []
+    results, setup = [], []
     for w in widths:
         results.extend(bench_width(w, seconds, seed))
-    return render_report(results, estimate_cpu_hz()), results
+        setup.extend(bench_setup(w, seconds, seed))
+    return render_report(results, estimate_cpu_hz(), setup), results

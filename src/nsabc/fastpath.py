@@ -14,7 +14,13 @@ hand one checked block to ``_kernels.crypt_block``, the batch functions their
 checked blocks to ``_kernels.crypt_batch``, which runs them tile by tile and
 asks for each tile's tweak words as it goes, from checked tweak rows or one
 checked tweak (``tweakstream`` hands the kernel its derived tweaks itself).
-Both use the schedule's constants in that dtype (``AffineSchedule.constants``).
+
+An ``AffineSchedule`` holds its m and n once as read-only arrays of that
+dtype, and makes from them, once each, the two operand forms: scalars for
+the scalar path (``constants``) and 0-d arrays for the batch kernel
+(``operands``).  ``affine_expand`` and ``invert_affine`` derive those arrays
+with word-dtype arithmetic, whose wrap does every reduction; their words are
+not scanned again, while a schedule built by hand is checked word by word.
 Key and unit key are validated by the schedule expansions they feed.
 """
 
@@ -36,12 +42,15 @@ from .words import check_cipher_width, mod_inverse
 class AffineSchedule:
     """Precomputed (m, n) pairs for the 64 half-rounds; every m is odd.
 
-    The pairs give away the key and unit words, so ``repr`` leaves them out.
+    ``arrays`` holds m and n once more, as read-only arrays of the word dtype,
+    from which both operand forms of the fast transform are made.  The pairs
+    give away the key and unit words, so ``repr`` leaves them out.
     """
 
     width: int
     m: tuple[int, ...] = field(repr=False)
     n: tuple[int, ...] = field(repr=False)
+    arrays: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # stored as tuples, so the checked words cannot change and the schedule hashes
@@ -57,22 +66,49 @@ class AffineSchedule:
             raise ValueError(f"affine schedule words must be integers in [0, 2**{self.width})")
         if any(not mi & 1 for mi in self.m):
             raise ValueError("every affine multiplier must be odd")
+        dtype = word_dtype(self.width)
+        self._hold(np.array(self.m, dtype), np.array(self.n, dtype))
+
+    @classmethod
+    def _derived(cls, w: int, m: np.ndarray, n: np.ndarray) -> AffineSchedule:
+        """The schedule of 64 word-dtype words m (all odd) and n derived from checked key material.
+
+        Their dtype holds only words and the derivation makes every m odd, so the
+        checks of ``__post_init__`` would find nothing and are not run.
+        """
+        schedule = object.__new__(cls)
+        for name, value in (("width", w), ("m", tuple(m.tolist())), ("n", tuple(n.tolist()))):
+            object.__setattr__(schedule, name, value)
+        schedule._hold(m, n)
+        return schedule
+
+    def _hold(self, m: np.ndarray, n: np.ndarray) -> None:
+        m.setflags(write=False)
+        n.setflags(write=False)
+        object.__setattr__(self, "arrays", (m, n))
 
     @cached_property
     def constants(self) -> tuple[tuple, tuple]:
-        """m and n as scalars of the word dtype, the operands of the fast transform."""
-        dtype = word_dtype(self.width)
-        return tuple(np.array(self.m, dtype=dtype)), tuple(np.array(self.n, dtype=dtype))
+        """m and n as scalars of the word dtype, the operands of the scalar path."""
+        return tuple(map(tuple, self.arrays))
+
+    @cached_property
+    def operands(self) -> tuple[list, list]:
+        """m and n as read-only 0-d arrays of the word dtype, the operands of ``crypt_batch``."""
+        return tuple([a[i, ...] for i in range(64)] for a in self.arrays)
 
 
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:
-    """Expand key material straight into the affine half-round constants."""
-    mask = (1 << w) - 1
-    ks = key_expand(key, w)
-    ls = unit_expand(unit_key, w)
-    m = tuple((2 * (k - e) + 1) & mask for k, e in zip(ks, ls))
-    n = tuple(((2 * e - 1) * (k - e)) & mask for k, e in zip(ks, ls))
-    return AffineSchedule(w, m, n)
+    """Expand key material straight into the affine half-round constants.
+
+    ``key_expand`` and ``unit_expand`` check the key and unit key; m and n are
+    then word-dtype array arithmetic, whose wrap at w bits does every reduction.
+    """
+    dtype = word_dtype(w)
+    k = np.array(key_expand(key, w), dtype)
+    e = np.array(unit_expand(unit_key, w), dtype)
+    d = k - e
+    return AffineSchedule._derived(w, d * 2 + 1, (e * 2 - 1) * d)
 
 
 def crypt_fast(block, tweak, schedule: AffineSchedule):
@@ -90,10 +126,9 @@ def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
     so entry k inverts entry 63-k.  A fresh schedule is returned, which makes
     the in-place aliasing hazard of overlapping inputs impossible.
     """
-    w = schedule.width
-    im = mod_inverse(np.array(schedule.m[::-1], dtype=np.uint64), w)
-    inn = (-np.array(schedule.n[::-1], dtype=np.uint64) * im) & ((1 << w) - 1)
-    return AffineSchedule(w, im.tolist(), inn.tolist())
+    m, n = (a[::-1] for a in schedule.arrays)
+    im = mod_inverse(m, schedule.width)
+    return AffineSchedule._derived(schedule.width, im, -n * im)
 
 
 def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
@@ -118,7 +153,8 @@ def _words(values, w: int, what: str) -> np.ndarray:
     arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     top = 1 << w
     if arr.dtype == object:
-        ok = all(isinstance(v, (int, np.integer)) and 0 <= v < top for v in arr.flat)
+        # a bool is an int to Python, but no word: the scalar path refuses it too
+        ok = all(isinstance(v, (int, np.integer)) and type(v) is not bool and 0 <= v < top for v in arr.flat)
     elif arr.dtype.kind == "u" and arr.dtype.itemsize * 8 <= w:
         ok = True  # holds only words, so there is nothing to scan for
     else:
@@ -159,7 +195,7 @@ def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     """
     w = schedule.width
     x = _as_block_array(blocks, w)
-    return _kernels.crypt_batch(x, _tile_tweak(tweaks, x.shape[0], w), *schedule.constants, w)
+    return _kernels.crypt_batch(x, _tile_tweak(tweaks, x.shape[0], w), *schedule.operands, w)
 
 
 def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
@@ -167,4 +203,4 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.nd
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
     tweak = _tile_tweak(tweaks, y.shape[0], w)
-    return _kernels.crypt_batch(y, tweak, *inverse_schedule.constants, w, _kernels.icrypt_words)
+    return _kernels.crypt_batch(y, tweak, *inverse_schedule.operands, w, _kernels.icrypt_words)

@@ -53,13 +53,13 @@ def check_unit_key(u: int, w: int) -> int:
 def key_expand(z: tuple[int, ...], w: int) -> tuple[int, ...]:
     """64-word key schedule; equals (Z3, Z4, Z0, Z1, Z2) repeated."""
     z = check_key(z, w)
-    return tuple(z[(k + 3) % KEY_WORDS] for k in range(KEY_SCHEDULE_LEN))
+    return ((z[3:] + z[:3]) * 13)[:KEY_SCHEDULE_LEN]  # 13 repeats of 5 words cover 64
 
 
 def tweak_expand(t: tuple[int, ...], w: int) -> tuple[int, ...]:
     """32-word tweak schedule; C[k] = T[k mod 4]."""
     t = check_tweak(t, w)
-    return tuple(t[k % TWEAK_WORDS] for k in range(TWEAK_SCHEDULE_LEN))
+    return t * (TWEAK_SCHEDULE_LEN // TWEAK_WORDS)
 
 
 def unit_expand(u: int, w: int) -> tuple[int, ...]:
@@ -67,4 +67,4 @@ def unit_expand(u: int, w: int) -> tuple[int, ...]:
     u = check_unit_key(u, w)
     mask = (1 << w) - 1
     step = 2 * u + 1
-    return tuple((u + k * step) & mask for k in range(UNIT_SCHEDULE_LEN))
+    return tuple([v & mask for v in range(u, u + UNIT_SCHEDULE_LEN * step, step)])

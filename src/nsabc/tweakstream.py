@@ -40,7 +40,7 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
     wm = (1 << (4 * w)) - 1
     for name, value in (("tweak key", tweak_key), ("block index", index)):
         # the message never quotes the value: a tweak key is key material
-        if not isinstance(value, int) or not 0 <= value <= wm:
+        if type(value) is not int or not 0 <= value <= wm:  # a bool is no word either
             raise ValueError(f"{name} must be an integer in [0, 2**{4 * w})")
     return int_to_block(odot(tweak_key, index, 4 * w), w)
 
@@ -89,7 +89,7 @@ def _crypt_blocks(words, schedule, blocks, tweak_key: int, first_index: int, twe
     w = schedule.width
     as_array = isinstance(blocks, np.ndarray)
     xs = _as_block_array(blocks if as_array else list(blocks), w)
-    out = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), *schedule.constants, w, words)
+    out = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), *schedule.operands, w, words)
     return out if as_array else [tuple(row) for row in out.tolist()]
 
 

@@ -8,13 +8,14 @@ One definition serves single words and many words at once, here and in
 ``cipher.gbox``.  In one call, either every operand is a Python int, or every
 operand is a ``uint64`` numpy array with at least one dimension (arrays
 broadcast).  Only ring operations, shifts and masks are used, so arithmetic mod
-2**64 followed by the w-bit mask is exact at every width.  A call that mixes
-the two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
+2**64 followed by the w-bit mask is exact at every width.  For the same reason
+an array of the width's own word dtype (``cipher.word_dtype``), which wraps at
+w bits, may stand in for the ``uint64`` arrays: ``fastpath.invert_affine``
+hands ``mod_inverse`` the schedule's multipliers in it.  A call that mixes the
+two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
 when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
 arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
-their arithmetic wraps.  Batch block data is a different thing, held in the
-width's word dtype (``cipher.word_dtype``), whose decrypt reordering is
-``_kernels``' own.
+their arithmetic wraps.
 
 The two core operations are
 
@@ -51,7 +52,9 @@ def word_mask(w: int) -> int:
 
 
 def check_word(x: int, w: int, name: str = "word") -> int:
-    if not isinstance(x, int) or x < 0 or x > word_mask(w):
+    """x if it is an int in [0, 2**w); as in ``fastpath.AffineSchedule``, an int subclass such
+    as bool, which Python counts as 0 or 1, is not a word."""
+    if type(x) is not int or x < 0 or x > word_mask(w):
         # the message never quotes the value: key and unit-key words are key material
         raise ValueError(f"{name} must be an integer in [0, 2**{w})")
     return x

@@ -2,8 +2,10 @@
 
 import pytest
 
+import nsabc.bench
 import nsabc.kat
 from nsabc.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from nsabc.fastpath import affine_expand, invert_affine
 
 KEY16 = "88880777006600050000"
 TWEAK16 = "0001002203334444"
@@ -162,3 +164,19 @@ def test_bench_quick(capsys):
     out = capsys.readouterr().out
     assert "reference" in out
     assert "fast-batch" in out
+
+
+def test_bench_reports_schedule_setup_without_key_material(capsys):
+    # expansion and inversion get one line each per width; the seeded key they time
+    # must not show up in those lines, in decimal or in hex
+    assert run("bench", "--width", "32", "--seconds", "0.02", "--seed", "5") == EXIT_OK
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if line.startswith(("affine_expand", "invert_affine"))]
+    setup = [line.split() for line in lines]
+    assert [row[:2] for row in setup] == [["affine_expand", "32"], ["invert_affine", "32"]]
+    assert all(float(row[2]) > 0 for row in setup)
+    _, z, _, u, _ = nsabc.bench._inputs(32, 0.02, 5)
+    schedule = affine_expand(z, u, 32)
+    for word in (*z, u, *schedule.m, *schedule.n, *invert_affine(schedule).m, *invert_affine(schedule).n):
+        for digits in (str(word), f"{word:x}", f"{word:X}"):
+            assert not any(digits in line for line in lines)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import lift, random_tuple, random_words
-from nsabc._kernels import TILE_BLOCKS, affine_gbox, crypt_batch, icrypt_words, resolve_backend
+from nsabc._kernels import TILE_BLOCKS, affine_gbox, crypt_batch, crypt_words, icrypt_words, resolve_backend
 from nsabc.cipher import crypt, decrypt, gbox, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
@@ -24,7 +24,7 @@ from nsabc.fastpath import (
 )
 from nsabc.kat import standard_trace, trace_matches_reference
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
-from nsabc.tweakstream import decrypt_blocks, encrypt_block_at, encrypt_blocks
+from nsabc.tweakstream import decrypt_blocks, encrypt_block_at, encrypt_blocks, tweak_at
 from nsabc.words import mod_inverse
 
 Z16 = (0x0000, 0x0005, 0x0066, 0x0777, 0x8888)
@@ -41,6 +41,12 @@ def columns(w, *words):
 def scalars(w, *words):
     """Each int word as a scalar of the width's word dtype: ``affine_gbox``'s constants and shift."""
     return [word_dtype(w).type(v) for v in words]
+
+
+def edge_key_material(w):
+    """All-zero and all-ones key and unit words, where 2(K-L)+1 and (2L-1)(K-L) wrap."""
+    top = (1 << w) - 1
+    return [(z, u) for z in ((0,) * 5, (top,) * 5) for u in (0, top)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +103,62 @@ def test_affine_multipliers_always_odd(w, rng):
         _, z, _, u = random_tuple(rng, w)
         s = affine_expand(z, u, w)
         assert all(m & 1 for m in s.m)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_affine_expand_matches_the_word_formula(w, rng):
+    # the array derivation equals the per-word formula, hashes like the schedule built
+    # by hand from it, and holds m and n as read-only arrays and 0-d operands of the
+    # word dtype, which one schedule reuses unchanged across batch calls
+    mask = (1 << w) - 1
+    xs = random_block_array(rng, 5, w)
+    for z, u in edge_key_material(w) + [random_tuple(rng, w)[1::2]]:
+        ks, ls = key_expand(z, w), unit_expand(u, w)
+        ref = AffineSchedule(w, [(2 * (k - e) + 1) & mask for k, e in zip(ks, ls)],
+                             [((2 * e - 1) * (k - e)) & mask for k, e in zip(ks, ls)])
+        s = affine_expand(z, u, w)
+        assert s == ref and hash(s) == hash(ref)
+        assert all(type(v) is int for v in (*s.m, *s.n))
+        for sched in (s, ref, invert_affine(s)):
+            operands = [v for words in sched.operands for v in words]
+            for a in (*sched.arrays, *operands):
+                assert a.dtype == word_dtype(w) and not a.flags.writeable
+            assert all(a.shape == () for a in operands)
+            assert [a.tolist() for a in sched.arrays] == [list(sched.m), list(sched.n)]
+            assert [int(v) for v in operands] == [*sched.m, *sched.n]
+            assert [int(v) for words in sched.constants for v in words] == [*sched.m, *sched.n]
+        inv = invert_affine(s)
+        first, again = crypt_fast_batch(xs, (1, 2, 3, 4), s), crypt_fast_batch(xs, (1, 2, 3, 4), s)
+        assert np.array_equal(first, again)
+        assert np.array_equal(icrypt_fast_batch(first, (1, 2, 3, 4), inv), xs)
+        assert np.array_equal(icrypt_fast_batch(again, (1, 2, 3, 4), inv), xs)
+        assert [a.tolist() for a in s.arrays] == [list(ref.m), list(ref.n)]  # the calls wrote no word
+
+
+def test_schedule_operands_are_made_once(monkeypatch, rng):
+    # derived words are not checked again, and the kernel hands the loop the
+    # schedule's own 0-d operands on every call instead of lifting m and n anew
+    def scan_again(self):
+        raise AssertionError("a derived schedule was scanned again")
+
+    w = 32
+    _, z, t, u = random_tuple(rng, w)
+    monkeypatch.setattr(AffineSchedule, "__post_init__", scan_again)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    monkeypatch.undo()
+    seen = []
+
+    def words(x, tw, m, n, h):
+        seen.append((m, n))
+        return crypt_words(x, tw, m, n, h)
+
+    xs = random_block_array(rng, 2 * TILE_BLOCKS + 1, w)
+    for _ in range(2):
+        out = crypt_batch(xs, lambda start, stop: list(map(word_dtype(w).type, t)), *s.operands, w, words)
+        assert np.array_equal(out, crypt_fast_batch(xs, t, s))
+    assert len(seen) == 6 and all(m is s.operands[0] and n is s.operands[1] for m, n in seen)
+    assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
 
 
 def test_affine_gbox_identity_and_reference_value():
@@ -292,13 +354,17 @@ def test_invert_affine_per_index(rng):
 def test_icrypt_fast_inverts_and_matches_decrypt(w):
     rng = random.Random(w * 13)
     mask = (1 << w) - 1
-    for _ in range(100):
-        x, z, t, u = random_tuple(rng, w)
+    vectors = [random_tuple(rng, w) for _ in range(100)]
+    vectors += [(x, z, t, u) for (x, _, t, _), (z, u) in zip(vectors, edge_key_material(w))]
+    for x, z, t, u in vectors:
         s = affine_expand(z, u, w)
         inv = invert_affine(s)
-        # the array inversion equals inverting each word on its own
+        # the array inversion equals inverting each word on its own, for a derived
+        # schedule and for one built by hand from lists
         im = tuple(mod_inverse(s.m[63 - k], w) for k in range(64))
-        assert inv == AffineSchedule(w, im, tuple((-s.n[63 - k] * im[k]) & mask for k in range(64)))
+        expected = AffineSchedule(w, im, tuple((-s.n[63 - k] * im[k]) & mask for k in range(64)))
+        assert inv == expected
+        assert invert_affine(AffineSchedule(w, list(s.m), list(s.n))) == expected
         y = crypt_fast(x, t, s)
         assert icrypt_fast(y, t, inv) == x
         assert icrypt_fast(y, t, inv) == decrypt(y, z, t, u, w)
@@ -478,7 +544,7 @@ def test_decrypt_reorder_writes_no_tweak(w, rng):
     ya, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
     columns = ta.T.copy()
     columns.setflags(write=False)
-    out = crypt_batch(ya, lambda start, stop: list(columns[:, start:stop]), *inv.constants, w, icrypt_words)
+    out = crypt_batch(ya, lambda start, stop: list(columns[:, start:stop]), *inv.operands, w, icrypt_words)
     rows = tile_edge_rows(rng, count)
     for i in rows:
         assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
@@ -575,6 +641,34 @@ def test_batch_rejects_bad_words(w):
                 fn(blocks, z, t0, u, w)
     with pytest.raises(ValueError):
         crypt_fast((over, 0, 0, 0), t, s)            # the scalar path agrees
+
+
+BOOL_ENTRY_POINTS = {
+    "key": lambda v: affine_expand((v, 2, 3, 4, 5), 7, 16),
+    "tweak": lambda v: crypt_fast(X16, (v, 0, 0, 0), affine_expand(Z16, U16, 16)),
+    "unit key": lambda v: affine_expand(Z16, v, 16),
+    "tweak_at key": lambda v: tweak_at(v, 0, 16),
+    "tweak_at index": lambda v: tweak_at(1, v, 16),
+    "scalar block": lambda v: crypt_fast((v, 0, 0, 0), T16, affine_expand(Z16, U16, 16)),
+    "list batch": lambda v: crypt_fast_batch([[v, 0, 0, 0]], T16, affine_expand(Z16, U16, 16)),
+    "object array": lambda v: crypt_fast_batch(np.array([[v, 0, 0, 0]], dtype=object), T16,
+                                               affine_expand(Z16, U16, 16)),
+}
+
+
+@pytest.mark.parametrize("entry", BOOL_ENTRY_POINTS)
+def test_bool_is_not_a_word(entry):
+    # Python counts True as the int 1, but a bool word is a caller's mistake: every
+    # entry point refuses it as it refuses a word out of range, and as AffineSchedule
+    # and bool arrays already do
+    call = BOOL_ENTRY_POINTS[entry]
+    call(1)
+    with pytest.raises(ValueError) as out_of_range:
+        call(-1)
+    for flag in (True, False):
+        with pytest.raises(ValueError) as ex:
+            call(flag)
+        assert str(ex.value) == str(out_of_range.value)
 
 
 def test_backend_resolution():
