@@ -2,8 +2,10 @@
 
 Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path, and beside it the
-microseconds per call of the schedule set-up that a fresh key pays:
-``affine_expand`` and ``invert_affine``.  When a CPU frequency
+microseconds per call of the schedule set-up that a fresh key pays
+(``affine_expand`` and ``invert_affine``) and of the tweak columns of one
+tile of ``TILE_BLOCKS`` blocks: the first tile of a call, made from limbs, and
+a later one, advanced from the first.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
 numbers can be eyeballed against the paper's own figure for its x86-64
 software implementation (circa 9 cpb at w=64, from its abstract); that
@@ -21,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import TILE_BLOCKS
 from .cipher import crypt, word_dtype
 from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, invert_affine
 from .schedules import key_expand, tweak_expand, unit_expand
+from .tweakstream import _tile_tweaks
 from .words import check_cipher_width
 
 DEFAULT_WIDTHS = (32, 64)
@@ -51,7 +55,7 @@ class BenchResult:
 
 @dataclass(frozen=True)
 class SetupResult:
-    """Repeated calls of one schedule set-up stage at one width."""
+    """Repeated calls of one set-up or tweak stage at one width."""
 
     stage: str
     width: int
@@ -127,12 +131,20 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
 
 
 def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
-    """Time the schedule set-up of one key at one width: expansion, then inversion."""
-    _, z, _, u, _ = _inputs(w, seconds, seed)
+    """Time the schedule set-up of one key at one width, expansion then inversion, and the
+    tweak columns of a first tile and of a later tile advanced from it."""
+    rng, z, _, u, _ = _inputs(w, seconds, seed)
     schedule = affine_expand(z, u, w)
+    tweak_key = rng.randrange(1 << (4 * w))
+    tile = _tile_tweaks(tweak_key, 0, w, True)
+    tile(0, TILE_BLOCKS)  # the first tile, which the timed later one is advanced from
     return [
         SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
         SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
+        SetupResult("tweak_first_tile", w,
+                    *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, TILE_BLOCKS), seconds, 1)),
+        SetupResult("tweak_advanced_tile", w,
+                    *_measure(lambda: tile(TILE_BLOCKS, 2 * TILE_BLOCKS), seconds, 1)),
     ]
 
 
@@ -155,7 +167,7 @@ def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
         lines.append(f"{r.path:<20} {r.width:>3} {r.bytes_per_second / 1e6:>10.3f} {cpb_text}")
     if setup:
         lines.append("")
-        lines.append(f"{'schedule set-up':<20} {'w':>3} {'us/call':>10}")
+        lines.append(f"{'set-up, tweak tile':<20} {'w':>3} {'us/call':>10}")
         for s in setup:
             lines.append(f"{s.stage:<20} {s.width:>3} {s.us_per_call:>10.1f}")
     return "\n".join(lines)

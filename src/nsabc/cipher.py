@@ -36,7 +36,7 @@ from .schedules import (
     tweak_expand,
     unit_expand,
 )
-from .words import boxdot_e, check_cipher_width, check_word, inv_e, swap_halves
+from .words import CIPHER_WIDTHS, boxdot_e, check_cipher_width, check_word, inv_e, swap_halves
 
 BLOCK_WORDS = 4
 
@@ -70,9 +70,13 @@ def block_to_bytes(x, w: int) -> bytes:
     return block_to_int(x, w).to_bytes(w // 2, "little")
 
 
+_WORD_DTYPES = {w: np.dtype(f"<u{w // 8}") for w in CIPHER_WIDTHS}
+
+
 def word_dtype(w: int) -> np.dtype:
-    """Dtype of batch block data: w-bit words, little-endian like ``block_to_bytes``."""
-    return np.dtype(f"<u{check_cipher_width(w) // 8}")
+    """Dtype of batch block data: w-bit words, little-endian like ``block_to_bytes``;
+    one dtype object per width, looked up rather than parsed on each call."""
+    return _WORD_DTYPES[check_cipher_width(w)]
 
 
 def bytes_to_block(data: bytes, w: int) -> Block:

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     kat_p.add_argument("--width", type=int, choices=CIPHER_WIDTHS, default=None)
     kat_p.set_defaults(fn=cmd_kat)
 
-    bench_p = sub.add_parser("bench", help="throughput of all paths and schedule set-up time")
+    bench_p = sub.add_parser("bench", help="throughput of all paths, schedule set-up and tweak tile time")
     bench_p.add_argument("--width", type=int, choices=CIPHER_WIDTHS, default=None,
                          help="bench only this width (default: 32 and 64)")
     bench_p.add_argument("--seconds", type=float, default=None)

@@ -7,10 +7,12 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
-points hand ``_kernels.crypt_batch`` a tile function that derives each
-tile's 4 tweak columns with array arithmetic on limbs of min(w, 32) bits when
-the kernel reaches that tile of ``TILE_BLOCKS`` blocks, each tile based afresh
-on the tweak of its first block; no tweak array as large as the input is built.
+points hand ``_kernels.crypt_batch`` a tile function that makes each tile's 4
+tweak columns when the kernel reaches that tile of ``TILE_BLOCKS`` blocks.
+The first tile of a call is array arithmetic on limbs of min(w, 32) bits,
+based on the tweak of its first block; two tiles differ by one 4w-bit
+constant, so every later tile is the first plus that constant, one add with
+carry over the 4 word columns.  No tweak array as large as the input is built.
 As odot is a group operation, j -> T(j) is injective, so no tweak repeats
 before 2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
@@ -54,32 +56,63 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     """The kernel's tile tweak for blocks first_index, first_index+1, ...; the key for all if not tweaking.
 
     Block i of the tile from ``start`` gets base + i*step mod 2**(4w), with
-    base the tweak of block first_index+start and step = 2*T0 + 1, both split
-    into limbs of b = min(w, 32) bits.  The limb sums base_b + i*step_b are
-    formed limb-major in uint64; as i < TILE_BLOCKS = 2**15, each stays below
-    2**48 with the carry it takes in, so one pass from the lowest limb up
-    carries them all.  Reducing each limb to b bits then drops the carry out
-    of the top one too, the reduction mod 2**(4w).  A limb is a word, or at
-    w=64 half of one; the tile's 4 tweak columns come out in ``word_dtype(w)``.
+    base the tweak of block first_index+start and step = 2*T0 + 1.  The first
+    tile asked for is made from both, split into limbs of b = min(w, 32) bits:
+    the limb sums base_b + i*step_b are formed limb-major in uint64; as
+    i < TILE_BLOCKS = 2**15, each stays below 2**48 with the carry it takes in,
+    so one pass from the lowest limb up carries them all.  Reducing each limb
+    to b bits then drops the carry out of the top one too, the reduction
+    mod 2**(4w).  A limb is a word, or at w=64 half of one; the tile's 4 tweak
+    columns come out in ``word_dtype(w)``.
+
+    Each later tile is that first tile advanced: block i of the tile from
+    ``start`` is block i of the first tile plus (start - start_first)*step, one
+    4w-bit constant for the whole tile, added to the 4 columns as words with
+    carry.  A tile longer than the first one (a short tile came first) is made
+    from limbs too and is kept as the one to advance, so any order of requests
+    gives the closed form.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
         return _tile_tweak(tweak_at(tweak_key, 0, w), 0, w)
     wm = (1 << (4 * w)) - 1
-    step = _limbs((2 * tweak_key + 1) & wm, w)
+    step = (2 * tweak_key + 1) & wm
+    step_limbs = _limbs(step, w)
     bits = min(w, 32)
+    dtype = word_dtype(w)
+    first = None  # (start, columns) of the tile that later tiles advance from
 
-    def tile(start: int, stop: int) -> list:
-        acc = step * np.arange(stop - start, dtype=np.uint64)
+    def limb_tile(start: int, stop: int) -> list:
+        acc = step_limbs * np.arange(stop - start, dtype=np.uint64)
         acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
         for lo, hi in zip(acc, acc[1:]):
             hi += lo >> bits
         if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
-            lo, acc = acc[0::2], acc[1::2]
+            lo = acc[0::2]
             lo &= 0xFFFFFFFF
-            acc <<= 32
+            acc = acc[1::2] << 32  # a new array of 4 words: the limbs are not kept with the columns
             acc |= lo
-        return list(acc.astype(word_dtype(w), copy=False))
+        columns = acc.astype(dtype, copy=False)
+        columns.flags.writeable = False  # later tiles are advanced from these
+        return list(columns)
+
+    def tile(start: int, stop: int) -> list:
+        nonlocal first
+        if first is None or stop - start > len(first[1][0]):
+            first = start, limb_tile(start, stop)
+            return first[1]
+        base_start, base = first
+        # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off
+        delta = np.array(int_to_block((start - base_start) * step & wm, w), dtype)
+        out = [t[:stop - start] + c for t, c in zip(base, delta)]
+        carry = out[0] < delta[0]
+        for s, c in zip(out[1:3], delta[1:3]):
+            over = s < c
+            s += carry
+            over |= s < carry
+            carry = over
+        out[3] += carry
+        return out
 
     return tile
 

@@ -71,23 +71,23 @@ def boxdot(x: int, y: int, w: int) -> int:
 
 
 def newton_steps(w: int) -> int:
-    """Iterations needed by mod_inverse: the start value is exact mod 4 and
+    """Iterations needed by mod_inverse: the start value is exact mod 2**5 and
     every step doubles the number of correct low bits."""
-    return (w - 1).bit_length() - 1
+    return ((w - 1) // 5).bit_length()
 
 
 def mod_inverse(x: int, w: int) -> int:
     """Multiplicative inverse of odd x mod 2**w by Newton-Hensel lifting.
 
-    Starts from y = 2 - x (exact mod 4) and applies y <- y*(2 - x*y), which
-    doubles the correct bit count each time.  Even x has no inverse and is
-    rejected rather than silently mis-inverted: decryption depends on it.  An
-    array is rejected if any element is even.
+    Starts from y = (3*x) xor 2, exact mod 2**5 for odd x, and applies
+    y <- y*(2 - x*y), which doubles the correct bit count each time.  Even x
+    has no inverse and is rejected rather than silently mis-inverted:
+    decryption depends on it.  An array is rejected if any element is even.
     """
     if not (np.all(x & 1) if isinstance(x, np.ndarray) else x & 1):
         raise ValueError(f"no inverse mod 2**{w} for an even value")
     mask = (1 << w) - 1
-    y = (2 - x) & mask
+    y = ((3 * x) ^ 2) & mask
     for _ in range(newton_steps(w)):
         y = (y * (2 - x * y)) & mask
     return y

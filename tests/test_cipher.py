@@ -20,6 +20,7 @@ from nsabc.cipher import (
     reverse_words,
     schedule_inverse,
     swap_all_halves,
+    word_dtype,
 )
 from nsabc.container import encrypt_bytes
 from nsabc.fastpath import affine_expand
@@ -283,3 +284,13 @@ def test_block_bytes_roundtrip(w, rng):
     for _ in range(50):
         x = random_words(rng, 4, w)
         assert bytes_to_block(block_to_bytes(x, w), w) == x
+
+
+def test_word_dtype_is_one_object_per_width():
+    for w in (16, 32, 64):
+        assert word_dtype(w) is word_dtype(w)
+        assert word_dtype(w) == np.dtype(f"<u{w // 8}")
+    # a bad width raises the width check's ValueError, hashable or not
+    for bad in (8, 0, 128, True, "16", None, [16]):
+        with pytest.raises(ValueError, match="cipher word width must be one of"):
+            word_dtype(bad)

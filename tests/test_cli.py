@@ -4,6 +4,7 @@ import pytest
 
 import nsabc.bench
 import nsabc.kat
+from nsabc.cipher import int_to_block
 from nsabc.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from nsabc.fastpath import affine_expand, invert_affine
 
@@ -180,3 +181,19 @@ def test_bench_reports_schedule_setup_without_key_material(capsys):
     for word in (*z, u, *schedule.m, *schedule.n, *invert_affine(schedule).m, *invert_affine(schedule).n):
         for digits in (str(word), f"{word:x}", f"{word:X}"):
             assert not any(digits in line for line in lines)
+
+
+def test_bench_reports_tweak_tiles_without_key_material(capsys):
+    # a first tile (limbs) and an advanced tile get one line each per width; the
+    # seeded tweak key, its words and its step must not show up in the report
+    assert run("bench", "--width", "32", "--seconds", "0.02", "--seed", "5") == EXIT_OK
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.startswith("tweak_")]
+    assert [row[:2] for row in rows] == [["tweak_first_tile", "32"], ["tweak_advanced_tile", "32"]]
+    assert all(float(row[2]) > 0 for row in rows)
+    rng, z, _, u, _ = nsabc.bench._inputs(32, 0.02, 5)
+    tweak_key = rng.randrange(1 << 128)
+    step = (2 * tweak_key + 1) % (1 << 128)
+    for value in (tweak_key, step, *int_to_block(tweak_key, 32), *int_to_block(step, 32), *z, u):
+        for digits in (str(value), f"{value:x}", f"{value:X}"):
+            assert digits not in out

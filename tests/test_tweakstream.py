@@ -1,5 +1,8 @@
 """Tweak derivation and multi-block encryption."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from conftest import random_tuple, random_words, tile_tweak_rows
 from nsabc._kernels import TILE_BLOCKS
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import decrypt_blocks, encrypt_blocks, tweak_at
+from nsabc.tweakstream import _tile_tweaks, decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -55,6 +58,65 @@ def test_closed_form_equals_recurrence(w, rng):
         sample = [0, count - 1, *range(TILE_BLOCKS - 3, TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
         for j in sample:
             assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_advanced_tiles_equal_the_closed_form(w, rng):
+    # every tile after the first is the first advanced by one 4w-bit add with
+    # carry; rows of 3 full tiles and a short one agree with tweak_at at both
+    # sides of every tile edge.  With key 2**(4w) - 1 the step is all ones; key 0
+    # from index top - TILE_BLOCKS - 1 makes the second tile's block 1 the sum
+    # (top - TILE_BLOCKS) + TILE_BLOCKS, whose carry crosses all 4 words
+    top = 1 << (4 * w)
+    count = 3 * TILE_BLOCKS + 77
+    edges = range(0, count, TILE_BLOCKS)
+    for t0, first in ((top - 1, 0), (0, top - TILE_BLOCKS - 1), (top - 1, top - TILE_BLOCKS - 2),
+                      (rng.randrange(top), rng.randrange(top))):
+        rows = tile_tweak_rows(t0, first, count, w)
+        sample = {count - 1, *(j for e in edges for j in range(max(e - 3, 0), e + 3)),
+                  *(rng.randrange(count) for _ in range(20))}
+        for j in sorted(sample):
+            assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w), (t0, first, j)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_tiles_in_any_order_equal_fresh_tiles(w, rng):
+    # the tile function keeps no order: requested out of order, short last tile
+    # first or in between, each tile equals the one a fresh tile function makes
+    # first (from limbs), and the tweaks of its ends
+    top = 1 << (4 * w)
+    count = 3 * TILE_BLOCKS + 77
+    spans = [(start, min(start + TILE_BLOCKS, count)) for start in range(0, count, TILE_BLOCKS)]
+    for t0, first in ((top - 1, top - 5), (rng.randrange(top), rng.randrange(top))):
+        for order in ((2, 0, 3, 1), (3, 1, 0, 2)):
+            tile = _tile_tweaks(t0, first, w, True)
+            for k in order:
+                start, stop = spans[k]
+                got = tile(start, stop)
+                fresh = _tile_tweaks(t0, first, w, True)(start, stop)
+                assert all(a.dtype == word_dtype(w) and np.array_equal(a, b) for a, b in zip(got, fresh, strict=True))
+                for j in (start, stop - 1):
+                    assert tuple(int(c[j - start]) for c in got) == tweak_at(t0, (first + j) % top, w)
+
+
+# SHA-256 of the tweaked container of a seeded payload of 3 tiles, the last one
+# short, computed before later tiles were advanced from the first
+GOLDEN_MULTI_TILE_CONTAINERS = {
+    16: "ab0225947a7a96271188296bddc79653dad1c6db15c301f544d7754a5d5cb8fd",
+    32: "9df5eef55646540aa455192595a8cba3ab48492540193dd84fe21eb69112b088",
+    64: "c5cdd85253d3a3bc699fff36a91d2af93cc3f826937f7e520e7500f244a8e57d",
+}
+
+
+@pytest.mark.parametrize("w", sorted(GOLDEN_MULTI_TILE_CONTAINERS))
+def test_golden_multi_tile_container_digest(w):
+    seeded = random.Random(20261019 + w)
+    payload = seeded.randbytes((2 * TILE_BLOCKS + 99) * (w // 2) + 3)
+    key = tuple(seeded.randrange(1 << w) for _ in range(5))
+    tweak_key, unit_key = seeded.randrange(1 << (4 * w)), seeded.randrange(1 << w)
+    blob = encrypt_bytes(payload, key, tweak_key, unit_key, w)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_MULTI_TILE_CONTAINERS[w]
+    assert decrypt_bytes(blob, key, tweak_key, unit_key) == payload
 
 
 def test_tweak_injective_prefix(rng):

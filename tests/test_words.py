@@ -132,10 +132,12 @@ def test_mod_inverse_exhaustive_w16():
 def test_newton_step_counts():
     from nsabc.words import newton_steps
 
-    assert newton_steps(16) == 3
-    assert newton_steps(32) == 4
-    assert newton_steps(64) == 5
-    assert newton_steps(8) == 2
+    # the start value is exact to 5 bits, and each step doubles that
+    assert newton_steps(16) == 2
+    assert newton_steps(32) == 3
+    assert newton_steps(64) == 4
+    assert newton_steps(8) == 1
+    assert [newton_steps(w) for w in (2, 4, 6, 10, 12, 20, 22, 40, 42)] == [0, 0, 1, 1, 2, 2, 3, 3, 4]
 
 
 def test_mod_inverse_sampled_w64(rng):
