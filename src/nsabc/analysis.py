@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cipher import gbox
+from .cipher import gbox, word_dtype
 from .fastpath import affine_expand, crypt_fast_batch
 
 AVALANCHE_LOW, AVALANCHE_HIGH = 0.45, 0.55
@@ -57,9 +57,9 @@ def _seeded(samples: int, seed: int | None) -> random.Random:
     return random.Random(seed)
 
 
-def _lift(*words) -> np.ndarray:
-    """Int words as 1-element uint64 arrays, to pass alongside a swept array."""
-    return np.array(words, dtype=np.uint64)[:, None]
+def _lift(w: int, *words) -> np.ndarray:
+    """Int words as 1-element arrays of the word dtype, to pass alongside a swept array."""
+    return np.array(words, dtype=word_dtype(w))[:, None]
 
 
 def _param_sets(rng: random.Random, w: int, count: int):
@@ -71,11 +71,11 @@ def gbox_bijectivity(w: int = 16, samples: int = 8, seed: int | None = None) -> 
     """Exhaustively verify G permutes both the text word and the key word K0."""
     _require_w16(w, "gbox-bijectivity")
     rng = _seeded(samples, seed)
-    sweep = np.arange(1 << w, dtype=np.uint64)
+    sweep = np.arange(1 << w, dtype=word_dtype(w))
     report = AnalysisReport("gbox-bijectivity", w, True)
     for k0, k1, l0, l1, c0 in _param_sets(rng, w, samples):
         x0 = rng.randrange(1 << w)
-        words = _lift(x0, k0, k1, l0, l1, c0)
+        words = _lift(w, x0, k0, k1, l0, l1, c0)
         x_perm = np.unique(gbox(sweep, *words[1:], w)).size == 1 << w
         k_perm = np.unique(gbox(words[0], sweep, *words[2:], w)).size == 1 << w
         report.ok &= x_perm and k_perm
@@ -90,15 +90,15 @@ def gbox_diffusion(w: int = 16, samples: int = 8, seed: int | None = None) -> An
     _require_w16(w, "gbox-diffusion")
     rng = _seeded(samples, seed)
     half = w // 2
-    sweep = np.arange(1 << w, dtype=np.uint64)
+    sweep = np.arange(1 << w, dtype=word_dtype(w))
     report = AnalysisReport("gbox-diffusion", w, True)
     for k0, k1, l0, l1, c0 in _param_sets(rng, w, samples):
-        params = _lift(k0, k1, l0, l1, c0)
+        params = _lift(w, k0, k1, l0, l1, c0)
         base = gbox(sweep, *params, w)
         worst = []
         for v in range(half + 1, w):
-            flipped = gbox(sweep ^ np.uint64(1 << v), *params, w)
-            protected = np.uint64(((1 << (v - half)) - 1) << half)
+            flipped = gbox(sweep ^ (1 << v), *params, w)
+            protected = ((1 << (v - half)) - 1) << half
             hit = bool(np.any((base ^ flipped) & protected))
             if hit:
                 worst.append(v)
@@ -113,12 +113,12 @@ def gbox_identity(w: int = 16, samples: int = 8, seed: int | None = None) -> Ana
     """Exhaustively verify G is the identity when (K0,K1)=(L0,L1) and C0=0."""
     _require_w16(w, "gbox-identity")
     rng = _seeded(samples, seed)
-    sweep = np.arange(1 << w, dtype=np.uint64)
+    sweep = np.arange(1 << w, dtype=word_dtype(w))
     report = AnalysisReport("gbox-identity", w, True)
     for _ in range(samples):
         c = rng.randrange(1 << w)
         c2 = rng.randrange(1 << w)
-        is_id = bool(np.all(gbox(sweep, *_lift(c, c2, c, c2, 0), w) == sweep))
+        is_id = bool(np.all(gbox(sweep, *_lift(w, c, c2, c, c2, 0), w) == sweep))
         report.ok &= is_id
         report.lines.append(f"K=L=({c:04X},{c2:04X}) C=0: identity={is_id}")
     return report
@@ -133,27 +133,28 @@ def avalanche(w: int = 16, samples: int = 10_000, seed: int | None = None) -> An
     """
     rng = _seeded(samples, seed)
     bits = 4 * w
+    dtype = word_dtype(w)
 
     # row v of this matrix XORed onto a block flips plaintext bit v
-    flip_words = np.zeros((bits, 4), dtype=np.uint64)
+    flip_words = np.zeros((bits, 4), dtype=dtype)
     for v in range(bits):
-        flip_words[v, v // w] = np.uint64(1 << (v % w))
+        flip_words[v, v // w] = 1 << (v % w)
 
-    diffs = np.empty((samples, bits, 4), dtype=np.uint64)
+    diffs = np.empty((samples, bits, 4), dtype=dtype)
     for s in range(samples):
         z = tuple(rng.randrange(1 << w) for _ in range(5))
         t = tuple(rng.randrange(1 << w) for _ in range(4))
         u = rng.randrange(1 << w)
-        x = np.array([rng.randrange(1 << w) for _ in range(4)], dtype=np.uint64)
+        x = np.array([rng.randrange(1 << w) for _ in range(4)], dtype=dtype)
         xs = np.vstack((x[None, :], x[None, :] ^ flip_words))
-        ys = crypt_fast_batch(xs, np.array(t, dtype=np.uint64), affine_expand(z, u, w))
+        ys = crypt_fast_batch(xs, t, affine_expand(z, u, w))
         diffs[s] = ys[1:] ^ ys[0]
 
     flips = np.empty((bits, bits), dtype=np.int64)
     for word in range(4):
         col = diffs[:, :, word]
         for b in range(w):
-            flips[:, word * w + b] = ((col >> np.uint64(b)) & np.uint64(1)).sum(axis=0)
+            flips[:, word * w + b] = ((col >> b) & 1).sum(axis=0)
 
     probs = flips / samples
     flagged = int(np.count_nonzero((probs < AVALANCHE_LOW) | (probs > AVALANCHE_HIGH))) \

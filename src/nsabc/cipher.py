@@ -36,7 +36,7 @@ from .schedules import (
     tweak_expand,
     unit_expand,
 )
-from .words import CIPHER_WIDTHS, boxdot_e, check_cipher_width, check_word, inv_e, swap_halves
+from .words import CIPHER_WIDTHS, boxdot_e, check_cipher_width, check_words, inv_e, split_words, swap_halves
 
 BLOCK_WORDS = 4
 
@@ -45,12 +45,7 @@ Block = tuple[int, int, int, int]
 
 def check_block(x, w: int) -> Block:
     check_cipher_width(w)
-    x = tuple(x)
-    if len(x) != BLOCK_WORDS:
-        raise ValueError(f"block must be exactly {BLOCK_WORDS} words, got {len(x)}")
-    for i, word in enumerate(x):
-        check_word(word, w, f"block word x{i}")
-    return x
+    return check_words(x, BLOCK_WORDS, w, "block", "x")
 
 
 def block_to_int(x, w: int) -> int:
@@ -61,8 +56,7 @@ def block_to_int(x, w: int) -> int:
 
 def int_to_block(value: int, w: int) -> Block:
     """Split a 4w-bit integer into four words, least significant first."""
-    mask = (1 << w) - 1
-    return (value & mask, (value >> w) & mask, (value >> (2 * w)) & mask, (value >> (3 * w)) & mask)
+    return split_words(value, BLOCK_WORDS, w)
 
 
 def block_to_bytes(x, w: int) -> bytes:
@@ -86,7 +80,8 @@ def bytes_to_block(data: bytes, w: int) -> Block:
 
 
 def gbox(x: int, k0: int, k1: int, l0: int, l1: int, c0: int, w: int) -> int:
-    """Two quasi-group half-rounds with half-word swaps and a tweak XOR between."""
+    """Two quasi-group half-rounds with half-word swaps and a tweak XOR between;
+    all operands are ints, or all arrays of one dtype, as ``words`` states."""
     x = swap_halves(boxdot_e(x, k0, l0, w), w) ^ c0
     return swap_halves(boxdot_e(x, k1, l1, w), w)
 

@@ -27,7 +27,8 @@ import sys
 from . import analysis, bench
 from .container import ContainerFormatError, decrypt_bytes, encrypt_bytes, parse_header
 from .kat import KAT_VECTORS, render_trace, standard_trace, trace_matches_reference
-from .words import CIPHER_WIDTHS
+from .schedules import KEY_WORDS
+from .words import CIPHER_WIDTHS, split_words
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,9 +74,7 @@ def _key_material(args, w: int):
     z = _parse_hex(key_hex, 5 * w, "--key")
     t0 = _parse_hex(tweak_hex, 4 * w, "--tweak-key")
     u = _parse_hex(unit_hex, w, "--unit-key")
-    mask = (1 << w) - 1
-    z_words = tuple((z >> (i * w)) & mask for i in range(5))
-    return z_words, t0, u
+    return split_words(z, KEY_WORDS, w), t0, u
 
 
 def _read_file(path: str) -> bytes:

@@ -80,17 +80,20 @@ def _bytes_to_words(data: bytes, w: int, offset: int = 0) -> np.ndarray:
 
 def encrypt_bytes(plaintext: bytes, key, tweak_key: int, unit_key: int, w: int, *,
                   tweaking: bool = True) -> bytes:
-    """Produce header + ciphertext for arbitrary plaintext octets."""
+    """Produce header + ciphertext for arbitrary plaintext octets (any bytes-like object)."""
     check_cipher_width(w)
-    header = ContainerHeader(width=w, tweaking=tweaking, plaintext_length=len(plaintext))
-    padded = plaintext + b"\x00" * (-len(plaintext) % header.block_bytes())
+    data = memoryview(plaintext).cast("B")  # counts octets, whatever the item size
+    header = ContainerHeader(width=w, tweaking=tweaking, plaintext_length=len(data))
+    pad = -len(data) % header.block_bytes()
+    padded = b"".join((data, bytes(pad))) if pad else data  # whole blocks are not copied
     ys = encrypt_blocks(_bytes_to_words(padded, w), key, tweak_key, unit_key, w, tweaking=tweaking)
     # ys is C-contiguous in the little-endian word dtype, so its buffer is the ciphertext octets
     return b"".join((pack_header(header), ys.data))
 
 
 def decrypt_bytes(blob: bytes, key, tweak_key: int, unit_key: int) -> bytes:
-    """Validate a container and recover the exact original octets."""
+    """Validate a container (any bytes-like object) and recover the exact original octets."""
+    blob = memoryview(blob).cast("B")  # counts octets, whatever the item size
     header = parse_header(blob)
     body_len = len(blob) - HEADER_LEN
     expected = header.block_count() * header.block_bytes()

@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .cipher import check_block, word_dtype
 from .schedules import check_tweak, key_expand, unit_expand
-from .words import check_cipher_width, mod_inverse
+from .words import check_cipher_width, check_word, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,8 @@ class AffineSchedule:
         check_cipher_width(self.width)
         if len(self.m) != 64 or len(self.n) != 64:
             raise ValueError("affine schedule needs exactly 64 (m, n) pairs")
-        words = (*self.m, *self.n)
-        # the scalar path would reduce a wider word and the batch path refuse it; the
-        # message never quotes a word, as the words are derived from the key
-        if set(map(type, words)) != {int} or min(words) < 0 or max(words) >> self.width:
-            raise ValueError(f"affine schedule words must be integers in [0, 2**{self.width})")
+        for word in (*self.m, *self.n):
+            check_word(word, self.width, "affine schedule word")
         if any(not mi & 1 for mi in self.m):
             raise ValueError("every affine multiplier must be odd")
         dtype = word_dtype(self.width)
@@ -153,8 +150,8 @@ def _words(values, w: int, what: str) -> np.ndarray:
     arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     top = 1 << w
     if arr.dtype == object:
-        # a bool is an int to Python, but no word: the scalar path refuses it too
-        ok = all(isinstance(v, (int, np.integer)) and type(v) is not bool and 0 <= v < top for v in arr.flat)
+        # an exact int as ``words.check_word`` asks (no bool or IntEnum), or a numpy integer
+        ok = all((type(v) is int or isinstance(v, np.integer)) and 0 <= v < top for v in arr.flat)
     elif arr.dtype.kind == "u" and arr.dtype.itemsize * 8 <= w:
         ok = True  # holds only words, so there is nothing to scan for
     else:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cipher import crypt, int_to_block
-from .schedules import key_expand, tweak_expand, unit_expand
-from .words import CIPHER_WIDTHS, check_cipher_width, odot
+from .schedules import KEY_WORDS, TWEAK_WORDS, key_expand, tweak_expand, unit_expand
+from .words import CIPHER_WIDTHS, check_cipher_width, odot, split_words
 
 #: standard single-block vector per width (4w/5w/4w/w-bit values): the w=16 one at every width
 KAT_VECTORS = {w: {"x": 0x0123456789ABCDEF, "z": 0x88880777006600050000, "t": 0x0001002203334444, "u": 0x1998}
@@ -109,9 +109,8 @@ class KatTrace:
 def compute_trace(x: int, z: int, t: int, u: int, w: int) -> KatTrace:
     """Run one encipherment and capture every register state."""
     check_cipher_width(w)
-    mask = (1 << w) - 1
-    zw = tuple((z >> (i * w)) & mask for i in range(5))
-    tw = tuple((t >> (i * w)) & mask for i in range(4))
+    zw = split_words(z, KEY_WORDS, w)
+    tw = split_words(t, TWEAK_WORDS, w)
     xw = int_to_block(x, w)
 
     unit_rows = tuple(odot(u, k, w) for k in range(65))

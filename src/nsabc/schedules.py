@@ -14,7 +14,7 @@ The register machines themselves run in the independent test oracle
 
 from __future__ import annotations
 
-from .words import check_cipher_width, check_word
+from .words import check_cipher_width, check_word, check_words
 
 KEY_WORDS = 5
 TWEAK_WORDS = 4
@@ -26,23 +26,13 @@ TWEAK_SCHEDULE_LEN = 32
 def check_key(z: tuple[int, ...] | list[int], w: int) -> tuple[int, ...]:
     """Validate a 5-word primary key (z0 least significant)."""
     check_cipher_width(w)
-    z = tuple(z)
-    if len(z) != KEY_WORDS:
-        raise ValueError(f"key must be exactly {KEY_WORDS} words, got {len(z)}")
-    for i, word in enumerate(z):
-        check_word(word, w, f"key word z{i}")
-    return z
+    return check_words(z, KEY_WORDS, w, "key", "z")
 
 
 def check_tweak(t: tuple[int, ...] | list[int], w: int) -> tuple[int, ...]:
     """Validate a 4-word tweak (t0 least significant)."""
     check_cipher_width(w)
-    t = tuple(t)
-    if len(t) != TWEAK_WORDS:
-        raise ValueError(f"tweak must be exactly {TWEAK_WORDS} words, got {len(t)}")
-    for i, word in enumerate(t):
-        check_word(word, w, f"tweak word t{i}")
-    return t
+    return check_words(t, TWEAK_WORDS, w, "tweak", "t")
 
 
 def check_unit_key(u: int, w: int) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from ._kernels import TILE_BLOCKS, crypt_batch, crypt_words, icrypt_words
 from .cipher import encrypt, int_to_block, word_dtype
 from .fastpath import _as_block_array, _tile_tweak, affine_expand, invert_affine
-from .words import check_cipher_width, odot
+from .words import check_cipher_width, check_word, odot
 
 
 def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
@@ -39,11 +39,8 @@ def tweak_at(tweak_key: int, index: int, w: int) -> tuple[int, int, int, int]:
     Both must be integers in [0, 2**(4w)); anything else raises ValueError.
     """
     check_cipher_width(w)
-    wm = (1 << (4 * w)) - 1
-    for name, value in (("tweak key", tweak_key), ("block index", index)):
-        # the message never quotes the value: a tweak key is key material
-        if type(value) is not int or not 0 <= value <= wm:  # a bool is no word either
-            raise ValueError(f"{name} must be an integer in [0, 2**{4 * w})")
+    check_word(tweak_key, 4 * w, "tweak key")
+    check_word(index, 4 * w, "block index")
     return int_to_block(odot(tweak_key, index, 4 * w), w)
 
 

@@ -6,16 +6,18 @@ operations act on w bits.
 
 One definition serves single words and many words at once, here and in
 ``cipher.gbox``.  In one call, either every operand is a Python int, or every
-operand is a ``uint64`` numpy array with at least one dimension (arrays
-broadcast).  Only ring operations, shifts and masks are used, so arithmetic mod
-2**64 followed by the w-bit mask is exact at every width.  For the same reason
-an array of the width's own word dtype (``cipher.word_dtype``), which wraps at
-w bits, may stand in for the ``uint64`` arrays: ``fastpath.invert_affine``
-hands ``mod_inverse`` the schedule's multipliers in it.  A call that mixes the
-two kinds gives the exact result or raises numpy's ``OverflowError`` (say,
-when ``1 - 2*e`` is negative); lift an int to a 1-element array to mix it with
-arrays.  0-d arrays and ``np.uint64`` scalars are not allowed: numpy warns when
-their arithmetic wraps.
+operand is an unsigned numpy array of one dtype at least w bits wide, with at
+least one dimension (arrays broadcast): ``cipher.word_dtype(w)``, which the
+library passes, or ``uint64``, which also serves the widths below 16.  Only
+ring operations, masks and right shifts of masked values are used, so the
+dtype's wrap followed by the w-bit mask is exact.  Mixing the two kinds gives
+the exact result or numpy's ``OverflowError`` (say, when ``1 - 2*e`` is
+negative): lift an int to a 1-element array instead.  0-d arrays and numpy
+scalars are not allowed: numpy warns when their arithmetic wraps.
+
+A word of key material, a block or a tweak is an exact int in [0, 2**w)
+(``check_word``, N at a time ``check_words``); ``split_words`` alone turns a
+wide int into words, least significant first.
 
 The two core operations are
 
@@ -52,12 +54,28 @@ def word_mask(w: int) -> int:
 
 
 def check_word(x: int, w: int, name: str = "word") -> int:
-    """x if it is an int in [0, 2**w); as in ``fastpath.AffineSchedule``, an int subclass such
-    as bool, which Python counts as 0 or 1, is not a word."""
+    """x if it is an int in [0, 2**w); an int subclass such as bool, which
+    Python counts as 0 or 1, or an ``enum.IntEnum`` member, is not a word."""
     if type(x) is not int or x < 0 or x > word_mask(w):
         # the message never quotes the value: key and unit-key words are key material
         raise ValueError(f"{name} must be an integer in [0, 2**{w})")
     return x
+
+
+def check_words(values, count: int, w: int, what: str, letter: str) -> tuple[int, ...]:
+    """``values`` as a tuple of exactly ``count`` words; word i is named "{what} word {letter}{i}"."""
+    values = tuple(values)
+    if len(values) != count:
+        raise ValueError(f"{what} must be exactly {count} words, got {len(values)}")
+    for i, x in enumerate(values):
+        check_word(x, w, f"{what} word {letter}{i}")
+    return values
+
+
+def split_words(value: int, count: int, w: int) -> tuple[int, ...]:
+    """The low ``count`` w-bit words of the int ``value``, least significant first."""
+    mask = word_mask(w)
+    return tuple([(value >> (i * w)) & mask for i in range(count)])
 
 
 def odot(x: int, y: int, w: int) -> int:

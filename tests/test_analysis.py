@@ -1,5 +1,7 @@
 """Structural analysis checks."""
 
+import hashlib
+
 import pytest
 
 from nsabc.analysis import (
@@ -55,3 +57,21 @@ def test_report_rendering():
 
 def test_subcommand_registry():
     assert set(SUBCOMMANDS) == {"gbox-bijectivity", "gbox-diffusion", "gbox-identity", "avalanche"}
+
+
+# SHA-256 of rendered reports at fixed seeds, pinned so that a change of the
+# arrays' dtype or of the order of the random draws shows
+PINNED_REPORTS = {
+    ("gbox-bijectivity", 16, 4, 1): "180cc0450cf4abc6ba29cb8bec6398fa8e92ee60a5b2e7caf96668941f11c611",
+    ("gbox-diffusion", 16, 4, 2): "50093cc97746ab0847ebd24e076c0e495b18780b8dfc2a2f0b9ef765640b7900",
+    ("gbox-identity", 16, 4, 3): "5c70abaad3c9690acc6b6647c5a3c11d01f629c59f3aa4649532982c512eb990",
+    ("avalanche", 16, 300, 5): "323e77701d46ada477ee1d050dd6cff3702762227dd970167859ba4a9b8e9711",
+    ("avalanche", 32, 300, 5): "9b1f1b27d0d1cb30857afa1ce300219b84f11dad4b939047457be2db4df78f66",
+    ("avalanche", 64, 300, 5): "5d1d500d28b5c8011ca559596588b13f9a7dba9a5c3ce48c8d87f2ec4c411968",
+}
+
+
+@pytest.mark.parametrize("check, w, samples, seed", PINNED_REPORTS)
+def test_pinned_report_digests(check, w, samples, seed):
+    text = SUBCOMMANDS[check](w, samples=samples, seed=seed).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[check, w, samples, seed]

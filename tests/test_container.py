@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from array import array
 
 import pytest
 
@@ -80,6 +81,15 @@ def test_roundtrip_various_lengths(w, tweaking, rng):
         assert header.plaintext_length == size
         assert len(blob) == HEADER_LEN + header.block_count() * bb
         assert decrypt_bytes(blob, z, t0, u) == data
+        # any bytes-like input counts in octets, whatever its item size; a
+        # container is a whole number of 4-octet items
+        words = array("I", data[:size - size % 4])
+        for plain in (bytearray(data), memoryview(data), words):
+            assert encrypt_bytes(plain, z, t0, u, w, tweaking=tweaking) == encrypt_bytes(
+                bytes(plain), z, t0, u, w, tweaking=tweaking)
+        held = array("I", blob)
+        for container in (bytearray(blob), memoryview(blob), held):
+            assert decrypt_bytes(container, z, t0, u) == data
 
 
 # SHA-256 of the container of a seeded 64 KiB + 5 octet payload; pinned so any

@@ -1,6 +1,7 @@
 """Fast path: affine schedules, the register loop, inversion, batching."""
 
 import ast
+import enum
 import importlib
 import random
 import re
@@ -653,21 +654,27 @@ BOOL_ENTRY_POINTS = {
     "list batch": lambda v: crypt_fast_batch([[v, 0, 0, 0]], T16, affine_expand(Z16, U16, 16)),
     "object array": lambda v: crypt_fast_batch(np.array([[v, 0, 0, 0]], dtype=object), T16,
                                                affine_expand(Z16, U16, 16)),
+    "block list": lambda v: encrypt_blocks([(v, 0, 0, 0)], Z16, 1, U16, 16),
+    "affine schedule": lambda v: AffineSchedule(16, (1,) * 64, (v,) + (0,) * 63),
 }
+
+
+class Word(enum.IntEnum):
+    ONE = 1
 
 
 @pytest.mark.parametrize("entry", BOOL_ENTRY_POINTS)
 def test_bool_is_not_a_word(entry):
-    # Python counts True as the int 1, but a bool word is a caller's mistake: every
-    # entry point refuses it as it refuses a word out of range, and as AffineSchedule
-    # and bool arrays already do
+    # Python counts True and an IntEnum member as ints, but a word is an exact int
+    # (``words.check_word``): every entry point refuses such a value with the message
+    # it gives for a word out of range
     call = BOOL_ENTRY_POINTS[entry]
     call(1)
     with pytest.raises(ValueError) as out_of_range:
         call(-1)
-    for flag in (True, False):
+    for subclassed in (True, False, Word.ONE):
         with pytest.raises(ValueError) as ex:
-            call(flag)
+            call(subclassed)
         assert str(ex.value) == str(out_of_range.value)
 
 
@@ -675,12 +682,29 @@ def test_backend_resolution():
     assert resolve_backend() == "numpy"
 
 
+#: the names under which perfbench's sources refer to nsabc and its modules
+PERFBENCH_MODULES = {name: "nsabc" if name == "nsabc" else f"nsabc.{name}"
+                     for name in ("nsabc", "container", "tweakstream", "kat", "_kernels")}
+
+
 def test_traced_entry_points_exist():
-    # perfbench wraps these names by reference and calls resolve_backend for its meta
-    # line; a missing one would otherwise surface only as a failed benchmark subprocess
-    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
-    entry_points = next(ast.literal_eval(node.value) for node in tracer.body
-                        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENTRY_POINTS")
-    names = [(module, name) for module, names in entry_points.items() for name in names]
-    for module, name in names + [("_kernels", "resolve_backend")]:
-        assert callable(getattr(importlib.import_module(f"nsabc.{module}"), name, None)), f"nsabc.{module}.{name}"
+    # perfbench wraps the tracer's ENTRY_POINTS by reference, calls more functions of
+    # nsabc and its modules and reads constants off them; a missing one would otherwise
+    # surface only as a failed benchmark subprocess
+    used, called = set(), set()
+    for source in (Path(__file__).parents[1] / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENTRY_POINTS":
+                called.update((f"nsabc.{module}", name)
+                              for module, names in ast.literal_eval(node.value).items() for name in names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nsabc."):
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in PERFBENCH_MODULES:
+                used.add((PERFBENCH_MODULES[node.value.id], node.attr))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and getattr(node.func.value, "id", None) in PERFBENCH_MODULES:
+                called.add((PERFBENCH_MODULES[node.func.value.id], node.func.attr))
+    assert set(PERFBENCH_MODULES.values()) <= {module for module, _ in used}  # the walk still finds them
+    for module, name in sorted(used | called):
+        value = getattr(importlib.import_module(module), name, None)
+        assert value is not None and (callable(value) or (module, name) not in called), f"{module}.{name}"

@@ -1,9 +1,12 @@
 """Word algebra: the defining formulas, group laws and identities.
 
-Each operation has one definition that takes Python ints or uint64 arrays.
-Exhaustive sweeps run at w=8 (and w=16 where stated) as array calls; array
-calls are pinned to int calls of the same functions exhaustively at w=8 and
-sampled at w=16/32/64 first, so the sweeps test the int semantics.
+Each operation has one definition that takes Python ints or unsigned arrays
+of one dtype at least w bits wide: the width's word dtype, which the library
+passes, or uint64, which the sweeps at w=8 use as that width has no word
+dtype.  Exhaustive sweeps run at w=8 (and w=16 where stated) as array calls;
+array calls are pinned to int calls of the same functions exhaustively at w=8
+and sampled at w=16/32/64 in both dtypes first, so the sweeps test the int
+semantics.
 """
 
 import random
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import lift
-from nsabc.cipher import gbox
+from nsabc.cipher import gbox, word_dtype
 from nsabc.words import (
     boxdot,
     boxdot_e,
@@ -58,16 +61,25 @@ def test_vector_ops_match_scalar_sampled(w, rng):
     xs = sample_words(rng, 500, w)
     ys = sample_words(rng, 500, w)
     es = sample_words(rng, 500, w)
-    xa, ya, ea = (np.array(v, dtype=np.uint64) for v in (xs, ys, es))
-    assert np.array_equal(odot(xa, ya, w),
-                          np.array([odot(x, y, w) for x, y in zip(xs, ys)], dtype=np.uint64))
-    assert np.array_equal(boxdot_e(xa, ya, ea, w),
-                          np.array([boxdot_e(x, y, e, w) for x, y, e in zip(xs, ys, es)], dtype=np.uint64))
-    assert np.array_equal(inv_e(xa, ea, w),
-                          np.array([inv_e(x, e, w) for x, e in zip(xs, es)], dtype=np.uint64))
-    odd = np.array([x | 1 for x in xs], dtype=np.uint64)
-    assert np.array_equal(mod_inverse(odd, w),
-                          np.array([mod_inverse(x | 1, w) for x in xs], dtype=np.uint64))
+    expected = {
+        odot: [odot(x, y, w) for x, y in zip(xs, ys)],
+        boxdot_e: [boxdot_e(x, y, e, w) for x, y, e in zip(xs, ys, es)],
+        inv_e: [inv_e(x, e, w) for x, e in zip(xs, es)],
+        mod_inverse: [mod_inverse(x | 1, w) for x in xs],
+        gbox: [gbox(x, y, e, x, y, e, w) for x, y, e in zip(xs, ys, es)],
+    }
+    for dtype in (np.uint64, word_dtype(w)):
+        xa, ya, ea = (np.array(v, dtype=dtype) for v in (xs, ys, es))
+        got = {
+            odot: odot(xa, ya, w),
+            boxdot_e: boxdot_e(xa, ya, ea, w),
+            inv_e: inv_e(xa, ea, w),
+            mod_inverse: mod_inverse(xa | 1, w),
+            gbox: gbox(xa, ya, ea, xa, ya, ea, w),
+        }
+        for fn, values in got.items():
+            assert values.dtype == dtype, (fn.__name__, dtype)
+            assert values.tolist() == expected[fn], (fn.__name__, dtype)
 
 
 # ---------------------------------------------------------------------------
