@@ -1,33 +1,71 @@
 """The one fast block transform.
 
 The 32 rounds run as the cipher's own register loop: ``cipher.round_update``
-with ``affine_gbox`` where ``cipher.crypt`` calls ``gbox``.  One definition
-serves a single block of word-dtype scalars and a batch of word-dtype columns
-(``cipher.word_dtype``) alike; that dtype wraps at w bits, which is all the
-reduction mod 2**w the cipher needs.  Its steps are augmented assignments,
-which update a column in place and rebind a scalar, so a batch's registers
-are rewritten where they lie.  Decryption is the same loop on reordered
-words: the word order reversed and each word's halves swapped.
-``crypt_block`` runs either direction on one block of ints and
-``crypt_batch`` on many, one tile of ``TILE_BLOCKS`` blocks at a time, on a
-copy of the tile's columns and with that tile's tweak words only.  Both take
-the schedule's m and n in a form that ``fastpath.AffineSchedule`` makes once
-from its read-only word-dtype arrays: scalars for ``crypt_block``, 0-d arrays
-for ``crypt_batch``.  Its callers check what they hand it: ``fastpath``'s
-batch entry points the blocks and the tweak rows or tweak,
-``tweakstream`` the blocks, tweak key and first index from which its tile
-function derives each tile's tweak columns.
+with an affine G-box where ``cipher.crypt`` calls ``gbox``, on words of the
+dtype ``cipher.word_dtype``, which wraps at w bits, all the reduction mod 2**w
+the cipher needs.  Decryption is the same loop on reordered words: the word
+order reversed and each word's halves swapped.  ``crypt_block`` runs either
+direction on one block of word-dtype scalars (``crypt_words``,
+``icrypt_words``), ``crypt_batch`` on many, as columns, one tile at a time
+(``crypt_tile``, ``icrypt_tile``).  Both take the schedule's m and n in a
+form that ``fastpath.AffineSchedule`` makes once from its read-only
+word-dtype arrays: scalars for ``crypt_block``, 0-d arrays for
+``crypt_batch``.  Its callers check what they hand it: ``fastpath``'s batch
+entry points the blocks and the tweak rows or tweak, ``tweakstream`` the
+blocks, tweak key and first index from which its tile function derives each
+tile's tweak columns.
+
+A tile holds ``TILE_BYTES`` per word column, ``tile_blocks(w)`` blocks.  The
+tweak of block j depends on j alone, so tiles are independent, and a call of
+2 or more tiles runs on ``worker_count`` threads: the calling thread and
+helpers it starts and joins before it returns.  numpy releases the
+interpreter lock inside its loops, and a tile's columns are long enough for
+the two threads to overlap.  The calling thread allocates each worker's
+workspace before any worker starts, and the workers allocate no column: they
+copy a tile into their registers, update them in place with ``out=`` ufunc
+calls, and write the result into the caller's output.  Workers ask for the
+tweak words under one lock, in tile order, as tweakstream's tile function
+keeps state; the calling thread asks for the first tile before any worker
+starts.  Workers call ``words`` and the tile function only, never an entry
+point that perfbench's tracer wraps, since its span stack is single-threaded.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
 from .cipher import round_update
 
-# Blocks per tile of the batch kernel, and so of the tweak words made per tile:
-# i < 2**15 keeps every limb sum of tweakstream's tweak columns below 2**48
-TILE_BLOCKS = 1 << 15
+#: Bytes per word column of a tile: 2**17 / 2**16 / 2**15 blocks at w=16/32/64.
+#: Columns this long let 2 threads overlap at w=16; 128 KiB ones gained nothing.
+TILE_BYTES = 1 << 18
+
+#: Most threads a call runs on; the hosts measured have 2 cores.
+MAX_WORKERS = 2
+
+#: Rows of a worker's workspace: 4 registers, the column G writes into, a
+#: rotation scratch (the 6 that ``words`` gets), then the tile's 4 tweak columns.
+WORKSPACE_COLUMNS = 10
+
+
+def tile_blocks(w: int) -> int:
+    """Blocks per tile of the batch kernel at width w, and so of the tweak words made per tile."""
+    return TILE_BYTES * 8 // w
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(tiles: int) -> int:
+    """Threads a call of ``tiles`` tiles runs on: min(MAX_WORKERS, usable CPUs, tiles); one tile runs inline."""
+    return min(MAX_WORKERS, usable_cpus(), tiles) if tiles > 1 else tiles
 
 
 def resolve_backend() -> str:
@@ -36,21 +74,10 @@ def resolve_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# the fast block transform
+# one block: word-dtype scalars
 #
-# A word is a word-dtype scalar (one block) or a word-dtype column (that word
-# of many blocks), and only operators that mean the same on both are used.
-# Augmented assignment writes a column in place and rebinds a scalar, so the
-# loop allocates only the first product and the rotation's other half of each
-# affine step; it writes into the registers it is given, never into a tweak.
-# h, the half-word shift w/2, is an operand of the word dtype like the schedule
-# words (a Python int operand is slower on arrays), made once per block or batch.
-# On columns m, n and h are 0-d arrays: numpy takes a 0-d operand faster than a
-# scalar, about 0.9 against 1.4 us for an in-place op on 16 blocks, and 8 of the
-# 12 ops of a round have one.  The schedule makes its 128 once
-# (``AffineSchedule.operands``, about 15 us), so ``crypt_batch`` builds only h per
-# call; they are read-only, and the loop only ever reads them.  The scalar path
-# keeps scalars, on which 0-d operands would be the slow side.
+# Operator arithmetic: a ufunc call on numpy scalars costs 10-30x more.  h, the
+# half-word shift w/2, is a scalar of the word dtype like the schedule words.
 
 
 def affine_gbox(x, t, m0, m1, n0, n1, h):
@@ -58,7 +85,8 @@ def affine_gbox(x, t, m0, m1, n0, n1, h):
 
     x and t are word-dtype scalars or columns, m0, m1, n0, n1 and the half-word shift h
     scalars or 0-d arrays of that dtype, whose wrap at w bits is the reduction mod 2**w;
-    Python ints would give an unreduced, wrong value.
+    Python ints would give an unreduced, wrong value.  ``crypt_batch`` runs
+    ``_gbox_into``, the same steps into a given column.
     """
     x = x * m0
     x += n0
@@ -75,11 +103,7 @@ def affine_gbox(x, t, m0, m1, n0, n1, h):
 
 
 def crypt_words(x, t, m, n, h) -> list:
-    """The 32-round transform of the 4 words x under the 4 tweak words t.
-
-    Columns in x are updated in place and returned among the 4 words, so the
-    caller hands over columns it owns; t is only read.
-    """
+    """The 32-round transform of the 4 words x under the 4 tweak words t."""
     x0, x1, x2, x3 = x
     for k in range(32):
         g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
@@ -88,14 +112,8 @@ def crypt_words(x, t, m, n, h) -> list:
 
 
 def _reordered(words, h) -> list:
-    """The words in reverse order with their halves swapped, as new words: a tile's
-    tweak columns may be read-only, and a single tweak's words serve every tile."""
-    out = []
-    for x in reversed(words):
-        r = x >> h
-        r |= x << h  # the shifted copy is freed here, not with the next word
-        out.append(r)
-    return out
+    """The words in reverse order with their halves swapped, as new words."""
+    return [(x >> h) | (x << h) for x in reversed(words)]
 
 
 def icrypt_words(y, t, m, n, h):
@@ -114,18 +132,147 @@ def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
         return tuple(map(int, words(list(map(word, x)), list(map(word, t)), m, n, word(w >> 1))))
 
 
-def crypt_batch(x, tweak, m, n, w: int, words=crypt_words) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# a tile: word-dtype columns, updated in place
+#
+# Every step writes into a column it is given (ufuncs take out as a positional
+# argument, the cheaper form), so a tile allocates nothing.  m, n and h are 0-d
+# arrays: numpy takes a 0-d operand faster than a scalar, about 0.9 against
+# 1.4 us for an in-place op on 16 blocks, and 8 of the 12 ops of a round have
+# one.  The schedule makes its 128 once (``AffineSchedule.operands``), so
+# ``crypt_batch`` builds only h per call; they are read-only, and only read.
+
+
+def _gbox_into(g, r, x, t, m0, m1, n0, n1, h):
+    """``affine_gbox`` of the column x written into the column g, with r as the rotation scratch."""
+    np.multiply(x, m0, g)
+    g += n0
+    np.left_shift(g, h, r)
+    g >>= h
+    g |= r
+    g ^= t
+    g *= m1
+    g += n1
+    np.left_shift(g, h, r)
+    g >>= h
+    g |= r
+    return g
+
+
+def _rounds(work, t, m, n, h) -> list:
+    """The 32 rounds on the registers work[:4]; work[4] takes the first G output, work[5] is scratch.
+
+    Each G writes into the column of the register the round before dropped: a
+    type-B round reads x0 in ``round_update``, and only the next G overwrites it.
+    """
+    x0, x1, x2, x3, free, r = work
+    t = list(t)  # rows of an array would be made anew on each index
+    for k in range(32):
+        g = _gbox_into(free, r, x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
+        free = x0
+        x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
+    return [x0, x1, x2, x3]
+
+
+def _swap_halves(a, r, h) -> None:
+    """Swap the halves of each word of the column a in place; r is scratch."""
+    np.left_shift(a, h, r)
+    a >>= h
+    a |= r
+
+
+def crypt_tile(x, y, work, t, m, n, h) -> None:
+    """Encrypt the block rows x into the rows y under the tweak words t.
+
+    work is a (6, len(x)) array of the word dtype, the columns of ``_rounds``.
+    """
+    np.copyto(work[:4], x.T)
+    np.stack(_rounds(work, t, m, n, h), axis=1, out=y)
+
+
+def icrypt_tile(y, x, work, t, m, n, h) -> None:
+    """``crypt_tile`` inverted, for an inverse schedule, as ``icrypt_words``.
+
+    The words are reordered in the registers, which are contiguous: on a
+    2-core Xeon, rotating them straight from and into the (n, 4) rows took
+    1.6 / 0.9 / 0.7 ms of reordering a tile at w=16/32/64, against
+    0.7 / 0.5 / 0.5 ms this way.  An array t is the tile's own
+    tweak columns and is reordered in place, other tweak words (one tweak's,
+    shared by every tile) into new ones.
+    """
+    r = work[5]
+    np.copyto(work[:4], y.T[::-1])
+    for col in work[:4]:
+        _swap_halves(col, r, h)
+    if isinstance(t, np.ndarray):
+        for col in t:
+            _swap_halves(col, r, h)
+        t = t[::-1]
+    else:
+        t = _reordered(t, h)
+    z = _rounds(work, t, m, n, h)
+    for col in z:
+        _swap_halves(col, r, h)
+    np.stack(z[::-1], axis=1, out=x)
+
+
+def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
 
     m and n are read-only 0-d arrays of the word dtype, made once per schedule
-    (``AffineSchedule.operands``).  ``tweak(start, stop)`` gives the 4 tweak words of
-    blocks start..stop-1 (columns, or scalars shared by all blocks).  ``words`` gets a
-    contiguous copy of each tile's columns, m, n and the half-word shift as a 0-d array.
+    (``AffineSchedule.operands``).  ``tweak(start, stop, out)`` gives the 4 tweak
+    words of blocks start..stop-1: it writes them into out, a (4, stop - start)
+    array of the word dtype, and returns out, or it returns 4 scalars shared by
+    all blocks.  ``words(x, y, work, t, m, n, h)`` writes the tile x into the
+    output rows y, with work and h as ``crypt_tile`` takes them.
+
+    The tiles run on ``worker_count`` threads; an exception in any of them stops
+    the others at their next tile and is raised here once all have stopped.
     """
+    nblocks = x.shape[0]
+    y = np.empty(x.shape, dtype=x.dtype)
+    length = tile_blocks(w)
+    starts = iter(range(0, nblocks, length))
+    workers = worker_count(-(-nblocks // length))
+    if not workers:
+        return y
     h = np.array(w >> 1, dtype=x.dtype)
-    out = np.empty(x.shape, dtype=x.dtype)
-    for start in range(0, x.shape[0], TILE_BLOCKS):
-        stop = min(start + TILE_BLOCKS, x.shape[0])
-        tile = list(x[start:stop].T.copy())
-        np.stack(words(tile, tweak(start, stop), m, n, h), axis=1, out=out[start:stop])
-    return out
+    shape = WORKSPACE_COLUMNS, min(length, nblocks)
+    lock = threading.Lock()
+    failed = []
+
+    def take(space):
+        """The next tile and its tweak words in space, or None once all are taken or a worker failed."""
+        with lock:
+            start = None if failed else next(starts, None)
+            if start is None:
+                return None
+            stop = min(start + length, nblocks)
+            return start, stop, tweak(start, stop, space[6:, :stop - start])
+
+    def work(space, job):
+        """Run job, a tile taken for space, then further tiles until none is left."""
+        try:
+            if job is None:
+                job = take(space)
+            while job is not None:
+                start, stop, t = job
+                words(x[start:stop], y[start:stop], space[:6, :stop - start], t, m, n, h)
+                job = take(space)
+        except BaseException as exc:  # re-raised by the calling thread
+            failed.append(exc)
+
+    space = np.empty(shape, dtype=x.dtype)
+    first = take(space)  # before the helpers' workspaces, which can reuse its temporaries' memory
+    helpers = [threading.Thread(target=work, args=(np.empty(shape, dtype=x.dtype), None)) for _ in range(workers - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work(space, first)
+    finally:  # also when a thread cannot be started: the ones that were finish the tiles
+        for thread in helpers:
+            if thread.is_alive():
+                thread.join()
+    if failed:
+        raise failed[0]
+    return y

@@ -4,8 +4,10 @@ Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path, and beside it the
 microseconds per call of the schedule set-up that a fresh key pays
 (``affine_expand`` and ``invert_affine``) and of the tweak columns of one
-tile of ``TILE_BLOCKS`` blocks: the first tile of a call, made from limbs, and
-a later one, advanced from the first.  When a CPU frequency
+tile of ``_kernels.tile_blocks(w)`` blocks: the first tile of a call, made
+from limbs, and a later one, advanced from the first.  For each width it
+names the tile length and the number of threads the batch kernel runs a
+fast-batch call and a 4 MiB call on, with the reason.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
 numbers can be eyeballed against the paper's own figure for its x86-64
 software implementation (circa 9 cpb at w=64, from its abstract); that
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TILE_BLOCKS
+from ._kernels import MAX_WORKERS, tile_blocks, usable_cpus, worker_count
 from .cipher import crypt, word_dtype
 from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, invert_affine
 from .schedules import key_expand, tweak_expand, unit_expand
@@ -136,16 +138,28 @@ def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     rng, z, _, u, _ = _inputs(w, seconds, seed)
     schedule = affine_expand(z, u, w)
     tweak_key = rng.randrange(1 << (4 * w))
+    length = tile_blocks(w)
+    out = np.empty((4, length), dtype=word_dtype(w))  # as the kernel hands it a worker's tweak columns
     tile = _tile_tweaks(tweak_key, 0, w, True)
-    tile(0, TILE_BLOCKS)  # the first tile, which the timed later one is advanced from
+    tile(0, length, out)  # the first tile, which the timed later one is advanced from
     return [
         SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
         SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
         SetupResult("tweak_first_tile", w,
-                    *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, TILE_BLOCKS), seconds, 1)),
-        SetupResult("tweak_advanced_tile", w,
-                    *_measure(lambda: tile(TILE_BLOCKS, 2 * TILE_BLOCKS), seconds, 1)),
+                    *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, length, out), seconds, 1)),
+        SetupResult("tweak_advanced_tile", w, *_measure(lambda: tile(length, 2 * length, out), seconds, 1)),
     ]
+
+
+def workers_line(w: int) -> str:
+    """The tile length at width w, and the threads a fast-batch call and a 4 MiB call run on, and why."""
+    length = tile_blocks(w)
+    calls = []
+    for name, blocks in (("fast-batch", BATCH_BLOCKS), ("4 MiB", (4 << 20) // (w // 2))):
+        tiles = -(-blocks // length)
+        why = "1 tile, inline" if tiles == 1 else f"min({MAX_WORKERS}, {usable_cpus()} usable CPUs, {tiles} tiles)"
+        calls.append(f"{name} {worker_count(tiles)} ({why})")
+    return f"{'workers':<20} {w:>3} tile {length} blocks; " + "; ".join(calls)
 
 
 def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
@@ -170,6 +184,8 @@ def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
         lines.append(f"{'set-up, tweak tile':<20} {'w':>3} {'us/call':>10}")
         for s in setup:
             lines.append(f"{s.stage:<20} {s.width:>3} {s.us_per_call:>10.1f}")
+    lines.append("")
+    lines.extend(workers_line(w) for w in sorted({r.width for r in (*results, *setup)}))
     return "\n".join(lines)
 
 

@@ -93,7 +93,7 @@ def round_update(x0, x1, x2, x3, g, k: int):
     put g in x0's place and rotate the register one word down.  The XOR is an
     augmented assignment: it rebinds a Python int in ``crypt`` or a word-dtype
     scalar, and updates a word-dtype column in place in
-    ``_kernels.crypt_words``, so callers hand over columns they own.
+    ``_kernels._rounds``, so callers hand over columns they own.
     """
     # (k & 8) == 0 selects type A exactly on passes 1 and 3, i.e. k in [0,8) u [16,24)
     if k & 8 == 0:

@@ -59,6 +59,8 @@ def pack_header(header: ContainerHeader) -> bytes:
 
 
 def parse_header(data: bytes) -> ContainerHeader:
+    """The header at the start of ``data`` (any bytes-like object), checked field by field."""
+    data = memoryview(data).cast("B")  # counts octets, whatever the item size
     if len(data) < HEADER_LEN:
         raise ContainerFormatError(f"container too short for header ({len(data)} octets)")
     magic, width, flags, length, reserved = _HEADER_STRUCT.unpack(data[:HEADER_LEN])

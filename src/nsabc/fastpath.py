@@ -7,13 +7,13 @@ affine map ``m*x + n`` with ``m = 2(z-e)+1`` (always odd) and
 (m, n) pairs turns every G-box evaluation into two multiply-adds plus the
 swaps and the tweak XOR.
 
-``affine_gbox`` and the 32-round register loop ``crypt_words`` live in
-``_kernels`` and run on word-dtype scalars or columns (``cipher.word_dtype``),
-whose wrap at w bits is the cipher's reduction: the scalar functions here
-hand one checked block to ``_kernels.crypt_block``, the batch functions their
-checked blocks to ``_kernels.crypt_batch``, which runs them tile by tile and
-asks for each tile's tweak words as it goes, from checked tweak rows or one
-checked tweak (``tweakstream`` hands the kernel its derived tweaks itself).
+The 32-round register loop lives in ``_kernels`` and runs on words of
+``cipher.word_dtype``, whose wrap at w bits is the cipher's reduction: the
+scalar functions here hand one checked block to ``_kernels.crypt_block``, the
+batch functions their checked blocks to ``_kernels.crypt_batch``, which runs
+them tile by tile and asks for each tile's tweak words as it goes, copied
+from checked tweak rows into the tile's own columns, or one checked tweak
+(``tweakstream`` hands the kernel its derived tweaks itself).
 
 An ``AffineSchedule`` holds its m and n once as read-only arrays of that
 dtype, and makes from them, once each, the two operand forms: scalars for
@@ -170,16 +170,21 @@ def _as_block_array(blocks, w: int) -> np.ndarray:
     return arr
 
 
-def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable[[int, int], list]:
+def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable:
     """The kernel's tile tweak for ``tweaks``: checked tweak rows or one checked tweak."""
     arr = _words(tweaks, w, "tweak words")
     if arr.shape == (4,):
         words = list(arr)
-        return lambda start, stop: words
+        return lambda start, stop, out: words
     if arr.shape != (nblocks, 4):
         raise ValueError(f"expected one 4-word tweak or tweak rows of shape ({nblocks}, 4), got {arr.shape}")
-    # copied into contiguous columns: the kernel XORs each into 8 G calls a tile
-    return lambda start, stop: list(arr[start:stop].T.copy())
+
+    def rows(start, stop, out):
+        # copied into the tile's contiguous columns: the kernel XORs each into 8 G calls a tile
+        np.copyto(out, arr[start:stop].T)
+        return out
+
+    return rows
 
 
 def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
@@ -200,4 +205,4 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.nd
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
     tweak = _tile_tweak(tweaks, y.shape[0], w)
-    return _kernels.crypt_batch(y, tweak, *inverse_schedule.operands, w, _kernels.icrypt_words)
+    return _kernels.crypt_batch(y, tweak, *inverse_schedule.operands, w, _kernels.icrypt_tile)

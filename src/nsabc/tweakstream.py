@@ -8,7 +8,8 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
 points hand ``_kernels.crypt_batch`` a tile function that makes each tile's 4
-tweak columns when the kernel reaches that tile of ``TILE_BLOCKS`` blocks.
+tweak columns, into the worker's own columns, when the kernel reaches that
+tile of ``_kernels.tile_blocks(w)`` blocks.
 The first tile of a call is array arithmetic on limbs of min(w, 32) bits,
 based on the tweak of its first block; two tiles differ by one 4w-bit
 constant, so every later tile is the first plus that constant, one add with
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import TILE_BLOCKS, crypt_batch, crypt_words, icrypt_words
+from ._kernels import crypt_batch, crypt_tile, icrypt_tile
 from .cipher import encrypt, int_to_block, word_dtype
 from .fastpath import _as_block_array, _tile_tweak, affine_expand, invert_affine
 from .words import check_cipher_width, check_word, odot
@@ -52,22 +53,27 @@ def _limbs(value: int, w: int) -> np.ndarray:
 def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     """The kernel's tile tweak for blocks first_index, first_index+1, ...; the key for all if not tweaking.
 
-    Block i of the tile from ``start`` gets base + i*step mod 2**(4w), with
-    base the tweak of block first_index+start and step = 2*T0 + 1.  The first
-    tile asked for is made from both, split into limbs of b = min(w, 32) bits:
-    the limb sums base_b + i*step_b are formed limb-major in uint64; as
-    i < TILE_BLOCKS = 2**15, each stays below 2**48 with the carry it takes in,
-    so one pass from the lowest limb up carries them all.  Reducing each limb
-    to b bits then drops the carry out of the top one too, the reduction
-    mod 2**(4w).  A limb is a word, or at w=64 half of one; the tile's 4 tweak
-    columns come out in ``word_dtype(w)``.
+    ``tile(start, stop, out)`` writes the tile's 4 tweak columns into out, a
+    (4, stop - start) array of ``word_dtype(w)``, and returns it; without out it
+    returns a new array.  Block i of the tile from ``start`` gets base + i*step
+    mod 2**(4w), with base the tweak of block first_index+start and
+    step = 2*T0 + 1.  The first tile asked for is made from both, split into
+    limbs of b = min(w, 32) bits: the limb sums base_b + i*step_b are formed
+    limb-major in uint64.  A tile has i < ``tile_blocks(w)`` = 2**17 / 2**16 /
+    2**15 at w=16/32/64, so i*step_b < 2**33 / 2**48 / 2**47, and each limb
+    sum, with the carry it takes in from the limb below, stays below
+    2**34 / 2**49 / 2**48: one pass from the lowest limb up carries them all.
+    Reducing each limb to b bits then drops the carry out of the top one too,
+    the reduction mod 2**(4w).  A limb is a word, or at w=64 half of one.
 
     Each later tile is that first tile advanced: block i of the tile from
     ``start`` is block i of the first tile plus (start - start_first)*step, one
     4w-bit constant for the whole tile, added to the 4 columns as words with
-    carry.  A tile longer than the first one (a short tile came first) is made
-    from limbs too and is kept as the one to advance, so any order of requests
-    gives the closed form.
+    carry, in two bool columns kept with the first tile, so that a later tile
+    allocates no column.  A tile longer than the first one (a short tile came
+    first) is made from limbs too and is kept as the one to advance, so any
+    order of requests gives the closed form.  The function keeps state: it is
+    not to be called from two threads at once.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
@@ -77,9 +83,9 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     step_limbs = _limbs(step, w)
     bits = min(w, 32)
     dtype = word_dtype(w)
-    first = None  # (start, columns) of the tile that later tiles advance from
+    first = None  # (start, columns, carry flags) of the tile that later tiles advance from
 
-    def limb_tile(start: int, stop: int) -> list:
+    def limb_tile(start: int, stop: int) -> np.ndarray:
         acc = step_limbs * np.arange(stop - start, dtype=np.uint64)
         acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
         for lo, hi in zip(acc, acc[1:]):
@@ -91,23 +97,28 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
             acc |= lo
         columns = acc.astype(dtype, copy=False)
         columns.flags.writeable = False  # later tiles are advanced from these
-        return list(columns)
+        return columns
 
-    def tile(start: int, stop: int) -> list:
+    def tile(start: int, stop: int, out=None) -> np.ndarray:
         nonlocal first
-        if first is None or stop - start > len(first[1][0]):
-            first = start, limb_tile(start, stop)
-            return first[1]
-        base_start, base = first
+        count = stop - start
+        if out is None:
+            out = np.empty((4, count), dtype)
+        if first is None or count > first[1].shape[1]:
+            first = start, limb_tile(start, stop), np.empty((2, count), bool)
+            np.copyto(out, first[1])
+            return out
+        base_start, base, flags = first
         # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off
         delta = np.array(int_to_block((start - base_start) * step & wm, w), dtype)
-        out = [t[:stop - start] + c for t, c in zip(base, delta)]
-        carry = out[0] < delta[0]
+        np.add(base[:, :count], delta[:, None], out)
+        carry, over = flags[:, :count]
+        np.less(out[0], delta[0], carry)
         for s, c in zip(out[1:3], delta[1:3]):
-            over = s < c
+            np.less(s, c, over)
             s += carry
-            over |= s < carry
-            carry = over
+            np.less(s, carry, carry)  # adding the carry in wrapped s to 0
+            carry |= over
         out[3] += carry
         return out
 
@@ -133,14 +144,14 @@ def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
     returns the same kind.
     """
     schedule = affine_expand(key, unit_key, w)
-    return _crypt_blocks(crypt_words, schedule, blocks, tweak_key, first_index, tweaking)
+    return _crypt_blocks(crypt_tile, schedule, blocks, tweak_key, first_index, tweaking)
 
 
 def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
                    tweaking: bool = True, first_index: int = 0):
     """Invert ``encrypt_blocks``; ``first_index`` gives random access to any slice."""
     inverse = invert_affine(affine_expand(key, unit_key, w))
-    return _crypt_blocks(icrypt_words, inverse, blocks, tweak_key, first_index, tweaking)
+    return _crypt_blocks(icrypt_tile, inverse, blocks, tweak_key, first_index, tweaking)
 
 
 def encrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsabc._kernels import TILE_BLOCKS
+from nsabc._kernels import tile_blocks
 from nsabc.cipher import word_dtype
 from nsabc.tweakstream import _tile_tweaks
 
@@ -37,8 +37,9 @@ def tile_tweak_rows(tweak_key, first_index, count, w):
     tile from ``tweakstream._tile_tweaks`` the way ``_kernels.crypt_batch`` asks for them."""
     tile = _tile_tweaks(tweak_key, first_index, w, True)
     rows = [np.empty((0, 4), dtype=word_dtype(w))]
-    for start in range(0, count, TILE_BLOCKS):
-        stop = min(start + TILE_BLOCKS, count)
+    length = tile_blocks(w)
+    for start in range(0, count, length):
+        stop = min(start + length, count)
         columns = tile(start, stop)
         assert all(c.dtype == word_dtype(w) and c.shape == (stop - start,) for c in columns)
         rows.append(np.stack(columns, axis=1))

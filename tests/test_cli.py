@@ -197,3 +197,13 @@ def test_bench_reports_tweak_tiles_without_key_material(capsys):
     for value in (tweak_key, step, *int_to_block(tweak_key, 32), *int_to_block(step, 32), *z, u):
         for digits in (str(value), f"{value:x}", f"{value:X}"):
             assert digits not in out
+
+
+def test_bench_reports_tiles_and_workers(capsys):
+    # each width names its tile length and the threads a fast-batch call and a
+    # 4 MiB call run on, and why: the usable CPUs and the tile count
+    assert run("bench", "--width", "32", "--seconds", "0.02", "--seed", "5") == EXIT_OK
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("workers")]
+    cpus = nsabc._kernels.usable_cpus()
+    assert rows == [f"{'workers':<20}  32 tile 65536 blocks; fast-batch 1 (1 tile, inline); "
+                    f"4 MiB {min(2, cpus)} (min(2, {cpus} usable CPUs, 4 tiles))"]

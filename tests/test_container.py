@@ -33,6 +33,8 @@ def test_header_roundtrip():
             assert len(packed) == HEADER_LEN
             assert packed[:6] == MAGIC
             assert parse_header(packed) == h
+            # a buffer of 4-octet items is measured in octets, as decrypt_bytes measures it
+            assert parse_header(array("I", packed + bytes(24))) == h
 
 
 def test_header_field_layout():

@@ -5,6 +5,8 @@ import enum
 import importlib
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import lift, random_tuple, random_words
-from nsabc._kernels import TILE_BLOCKS, affine_gbox, crypt_batch, crypt_words, icrypt_words, resolve_backend
+from nsabc import _kernels
+from nsabc._kernels import affine_gbox, crypt_batch, crypt_tile, icrypt_tile, resolve_backend, tile_blocks
 from nsabc.cipher import crypt, decrypt, gbox, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
@@ -150,13 +153,13 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
     monkeypatch.undo()
     seen = []
 
-    def words(x, tw, m, n, h):
+    def words(x, y, work, tw, m, n, h):
         seen.append((m, n))
-        return crypt_words(x, tw, m, n, h)
+        crypt_tile(x, y, work, tw, m, n, h)
 
-    xs = random_block_array(rng, 2 * TILE_BLOCKS + 1, w)
+    xs = random_block_array(rng, 2 * tile_blocks(w) + 1, w)
     for _ in range(2):
-        out = crypt_batch(xs, lambda start, stop: list(map(word_dtype(w).type, t)), *s.operands, w, words)
+        out = crypt_batch(xs, lambda start, stop, _: list(map(word_dtype(w).type, t)), *s.operands, w, words)
         assert np.array_equal(out, crypt_fast_batch(xs, t, s))
     assert len(seen) == 6 and all(m is s.operands[0] and n is s.operands[1] for m, n in seen)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
@@ -381,8 +384,10 @@ def test_icrypt_fast_known_answer():
 # batch kernel
 
 
-# batch sizes one short of a tile, one tile, one past it, and across two tile edges
-TILE_EDGE_COUNTS = (TILE_BLOCKS - 1, TILE_BLOCKS, TILE_BLOCKS + 1, 2 * TILE_BLOCKS + 5)
+def tile_edge_counts(w):
+    """Batch sizes one short of a tile, one tile, one past it, and across two tile edges."""
+    length = tile_blocks(w)
+    return length - 1, length, length + 1, 2 * length + 5
 
 
 def random_block_array(rng, count, w):
@@ -391,9 +396,10 @@ def random_block_array(rng, count, w):
     return np_rng.integers(0, 1 << w, size=(count, 4), dtype=np.uint64).astype(word_dtype(w))
 
 
-def tile_edge_rows(rng, count):
-    """The first and last row of every tile of ``count`` blocks, and a few at random."""
-    edges = {r for start in range(0, count, TILE_BLOCKS) for r in (start, min(start + TILE_BLOCKS, count) - 1)}
+def tile_edge_rows(rng, count, w):
+    """The first and last row of every tile of ``count`` blocks at width w, and a few at random."""
+    length = tile_blocks(w)
+    edges = {r for start in range(0, count, length) for r in (start, min(start + length, count) - 1)}
     return sorted(edges | {rng.randrange(count) for _ in range(4)})
 
 
@@ -411,28 +417,29 @@ def test_batch_matches_scalar(w):
     back = icrypt_fast_batch(out, np.array(ts, dtype=np.uint64), inv)
     assert np.array_equal(back, np.array(xs, dtype=np.uint64))
     # batches around the kernel's tile edges
-    for count in TILE_EDGE_COUNTS:
+    for count in tile_edge_counts(w):
         xa, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
         out = crypt_fast_batch(xa, ta, s)
-        for i in tile_edge_rows(rng, count):
+        for i in tile_edge_rows(rng, count, w):
             assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
         assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
     # read-only inputs: the kernel updates its registers in place, so a write
     # into caller data instead of the tile copy would raise here
-    xa, ta = random_block_array(rng, TILE_BLOCKS + 1, w), random_block_array(rng, TILE_BLOCKS + 1, w)
+    length = tile_blocks(w)
+    xa, ta = random_block_array(rng, length + 1, w), random_block_array(rng, length + 1, w)
     xa.setflags(write=False)
     ta.setflags(write=False)
     out = crypt_fast_batch(xa, ta, s)
     out.setflags(write=False)
-    for i in tile_edge_rows(rng, TILE_BLOCKS + 1):
+    for i in tile_edge_rows(rng, length + 1, w):
         assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
     assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
     # a tweak-derived run that crosses a tile edge and the wrap of the block index at 2**(4w)
-    t0, count = rng.randrange(1 << (4 * w)), TILE_BLOCKS + 5
-    first = (1 << (4 * w)) - TILE_BLOCKS // 2
+    t0, count = rng.randrange(1 << (4 * w)), length + 5
+    first = (1 << (4 * w)) - length // 2
     xa = random_block_array(rng, count, w)
     out = encrypt_blocks(xa, z, t0, u, w, first_index=first)
-    for i in (0, TILE_BLOCKS // 2 - 1, TILE_BLOCKS // 2, TILE_BLOCKS - 1, TILE_BLOCKS, count - 1):
+    for i in (0, length // 2 - 1, length // 2, length - 1, length, count - 1):
         index = (first + i) % (1 << (4 * w))
         assert tuple(out[i].tolist()) == encrypt_block_at(xa[i].tolist(), z, t0, u, index, w)
     assert np.array_equal(decrypt_blocks(out, z, t0, u, w, first_index=first), xa)
@@ -448,10 +455,10 @@ def test_batch_broadcasts_single_tweak(w, rng):
     for i, x in enumerate(xs):
         assert tuple(int(v) for v in out[i]) == crypt_fast(x, t, s)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), np.array(xs, dtype=np.uint64))
-    for count in TILE_EDGE_COUNTS:
+    for count in tile_edge_counts(w):
         xa = random_block_array(rng, count, w)
         out = crypt_fast_batch(xa, t, s)
-        for i in tile_edge_rows(rng, count):
+        for i in tile_edge_rows(rng, count, w):
             assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), t, s)
         assert np.array_equal(icrypt_fast_batch(out, t, inv), xa)
     # an empty batch keeps its shape
@@ -459,15 +466,122 @@ def test_batch_broadcasts_single_tweak(w, rng):
         assert fn(np.zeros((0, 4), dtype=np.uint64), t, sched).shape == (0, 4)
 
 
+# ---------------------------------------------------------------------------
+# threads over tiles
+
+
+def batch_calls(w, rng):
+    """Each batch path, as a function of the blocks: both directions, tweak-derived
+    from a first index whose tweaks wrap 2**(4w) or untweaked, tweak rows, one tweak."""
+    _, z, t, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    t0 = rng.randrange(1 << (4 * w))
+    first = (1 << (4 * w)) - tile_blocks(w) - 3
+    return [lambda xs: encrypt_blocks(xs, z, t0, u, w, first_index=first),
+            lambda xs: decrypt_blocks(xs, z, t0, u, w, first_index=first),
+            lambda xs: encrypt_blocks(xs, z, t0, u, w, tweaking=False),
+            lambda xs: decrypt_blocks(xs, z, t0, u, w, tweaking=False),
+            lambda xs: crypt_fast_batch(xs, xs[::-1], s),
+            lambda xs: icrypt_fast_batch(xs, xs[::-1], inv),
+            lambda xs: crypt_fast_batch(xs, t, s),
+            lambda xs: icrypt_fast_batch(xs, t, inv)]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads the kernel starts, recorded as they start."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return threads
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_threads_match_one_worker(w, rng, monkeypatch, started):
+    # tiles on 2 threads give the bits one worker gives, at 1, 2 and 3 tiles and
+    # with an odd tail; a call of 2 or more tiles starts one helper thread
+    length = tile_blocks(w)
+    for count in (length, 2 * length, 3 * length, 3 * length + 77):
+        xs = random_block_array(rng, count, w)
+        for call in batch_calls(w, rng):
+            monkeypatch.setattr(_kernels, "usable_cpus", lambda: 1)
+            alone = call(xs)
+            assert started == []
+            monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
+            assert np.array_equal(call(xs), alone), count
+            assert len(started) == (count > length) and not any(t.is_alive() for t in started)
+            started.clear()
+
+
+def test_one_tile_call_starts_no_thread(rng, monkeypatch, started):
+    # a call of one tile, as every short message, runs inline
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
+    for w in (16, 32, 64):
+        for count in (1, 100, tile_blocks(w)):
+            xs = random_block_array(rng, count, w)
+            for call in batch_calls(w, rng):
+                call(xs)
+    assert started == []
+
+
+def test_threads_under_stress(rng, monkeypatch):
+    # more workers than cores, switching threads every microsecond: a tile lost,
+    # run twice or given another tile's tweaks would change the output
+    w = 64
+    xs = random_block_array(rng, 6 * tile_blocks(w) + 5, w)
+    calls = batch_calls(w, rng)[:2]
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 1)
+    alone = [call(xs) for call in calls]
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(_kernels, "MAX_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for call, expected in zip(calls, alone):
+            assert np.array_equal(call(xs), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_failing_tile_function_stops_every_thread(rng, monkeypatch, started):
+    # a tile function that raises on its 2nd tile makes crypt_batch raise that
+    # exception, once every thread has stopped, whichever thread asked for the tile
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
+    w = 64
+    length = tile_blocks(w)
+    _, z, _, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    xs = random_block_array(rng, 4 * length, w)
+    asked, boom = [], RuntimeError("no tweak for this tile")
+
+    def tweak(start, stop, out):
+        asked.append(start)
+        if len(asked) == 2:
+            raise boom
+        return out
+
+    with pytest.raises(RuntimeError) as raised:
+        crypt_batch(xs, tweak, *s.operands, w)
+    assert raised.value is boom
+    assert asked[:2] == [0, length] and len(asked) <= 3
+    assert len(started) == 1 and not started[0].is_alive()
+
+
 def test_batch_memory_bounded_by_a_tile(rng):
     # the kernel works tile by tile, so beyond its output it holds at most a
     # tile's 4 registers and their temporaries, whatever the input size;
     # tracemalloc sees numpy's buffers
-    w, count = 64, 8 * TILE_BLOCKS
+    w, count = 64, 8 * tile_blocks(64)
     _, z, _, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     xs, ts = random_block_array(rng, count, w), random_block_array(rng, count, w)
-    word_columns_of_a_tile = 24 * TILE_BLOCKS * word_dtype(w).itemsize
+    word_columns_of_a_tile = 24 * tile_blocks(w) * word_dtype(w).itemsize
     for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, invert_affine(s))):
         tracemalloc.start()
         try:
@@ -488,7 +602,7 @@ def test_block_memory_does_not_grow_with_the_input(rng):
     for fn in (encrypt_blocks, decrypt_blocks):
         extra = []
         for tiles in (2, 16):
-            xs = random_block_array(rng, tiles * TILE_BLOCKS + 3, w)
+            xs = random_block_array(rng, tiles * tile_blocks(w) + 3, w)
             tracemalloc.start()
             try:
                 out = fn(xs, z, t0, u, w)
@@ -509,7 +623,7 @@ def test_batch_never_writes_caller_arrays(w, rng):
     s = affine_expand(z, u, w)
     inv = invert_affine(s)
     t0 = rng.randrange(1 << (4 * w))
-    count = TILE_BLOCKS + 1
+    count = tile_blocks(w) + 1
     xa, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
     single = np.array(t, dtype=word_dtype(w))
     calls = (lambda: crypt_fast_batch(xa, ta, s), lambda: crypt_fast_batch(xa, single, s),
@@ -525,7 +639,7 @@ def test_batch_never_writes_caller_arrays(w, rng):
     # a read-only single tweak is taken as readily as read-only rows
     single.setflags(write=False)
     out = crypt_fast_batch(xa, single, s)
-    for i in tile_edge_rows(rng, count):
+    for i in tile_edge_rows(rng, count, w):
         assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), t, s)
     assert np.array_equal(icrypt_fast_batch(out, single, inv), xa)
     # the same round update still serves the reference path on Python ints
@@ -536,17 +650,18 @@ def test_batch_never_writes_caller_arrays(w, rng):
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_decrypt_reorder_writes_no_tweak(w, rng):
-    # icrypt_words reorders a tile's words into new arrays: a tile function may
-    # hand it read-only columns, on which a reorder in place would raise, and one
+    # icrypt_tile reorders in place only the tweak columns of the tile's own
+    # workspace: tweak words a tile function returns in a list, such as read-only
+    # columns, on which a reorder in place would raise, go into new words, and one
     # tweak's words serve every tile, so they must reach each tile unchanged
     _, z, t, u = random_tuple(rng, w)
     inv = invert_affine(affine_expand(z, u, w))
-    count = 2 * TILE_BLOCKS + 5
+    count = 2 * tile_blocks(w) + 5
     ya, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
     columns = ta.T.copy()
     columns.setflags(write=False)
-    out = crypt_batch(ya, lambda start, stop: list(columns[:, start:stop]), *inv.operands, w, icrypt_words)
-    rows = tile_edge_rows(rng, count)
+    out = crypt_batch(ya, lambda start, stop, _: list(columns[:, start:stop]), *inv.operands, w, icrypt_tile)
+    rows = tile_edge_rows(rng, count, w)
     for i in rows:
         assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
     single = np.array(t, dtype=word_dtype(w))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words, tile_tweak_rows
-from nsabc._kernels import TILE_BLOCKS
+from nsabc._kernels import tile_blocks
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
 from nsabc.tweakstream import _tile_tweaks, decrypt_blocks, encrypt_blocks, tweak_at
@@ -48,14 +48,16 @@ def test_closed_form_equals_recurrence(w, rng):
             assert rows.shape == (count, 4) and rows.dtype == word_dtype(w)
             assert [tuple(r) for r in rows.tolist()] == [tweak_at(t0, top - 1, w)][:count]
     # runs across the tile boundary, sampled around it and at random; with key
-    # top - 1 every bit of every step limb is set, so the limb sums reach about
-    # 2**47 at w=32/64 (the one-pass carry bound), and from index 0 every base
+    # top - 1 every bit of every step limb is set, so the limb sums of a full tile
+    # reach about 2**33 / 2**48 / 2**47 at w=16/32/64 (the one-pass carry bound
+    # of ``_tile_tweaks``), and from index 0 every base
     # limb is all ones too, while from top - 1 a carry crosses every limb
-    count = TILE_BLOCKS + 77
+    length = tile_blocks(w)
+    count = length + 77
     for t0, first in ((rng.randrange(top), rng.randrange(top)), (top - 1, top - 1), (top - 1, 0)):
         rows = tile_tweak_rows(t0, first, count, w)
         assert rows.shape == (count, 4)
-        sample = [0, count - 1, *range(TILE_BLOCKS - 3, TILE_BLOCKS + 3), *(rng.randrange(count) for _ in range(50))]
+        sample = [0, count - 1, *range(length - 3, length + 3), *(rng.randrange(count) for _ in range(50))]
         for j in sample:
             assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
 
@@ -65,12 +67,13 @@ def test_advanced_tiles_equal_the_closed_form(w, rng):
     # every tile after the first is the first advanced by one 4w-bit add with
     # carry; rows of 3 full tiles and a short one agree with tweak_at at both
     # sides of every tile edge.  With key 2**(4w) - 1 the step is all ones; key 0
-    # from index top - TILE_BLOCKS - 1 makes the second tile's block 1 the sum
-    # (top - TILE_BLOCKS) + TILE_BLOCKS, whose carry crosses all 4 words
+    # from index top - length - 1 makes the second tile's block 1 the sum
+    # (top - length) + length, whose carry crosses all 4 words
     top = 1 << (4 * w)
-    count = 3 * TILE_BLOCKS + 77
-    edges = range(0, count, TILE_BLOCKS)
-    for t0, first in ((top - 1, 0), (0, top - TILE_BLOCKS - 1), (top - 1, top - TILE_BLOCKS - 2),
+    length = tile_blocks(w)
+    count = 3 * length + 77
+    edges = range(0, count, length)
+    for t0, first in ((top - 1, 0), (0, top - length - 1), (top - 1, top - length - 2),
                       (rng.randrange(top), rng.randrange(top))):
         rows = tile_tweak_rows(t0, first, count, w)
         sample = {count - 1, *(j for e in edges for j in range(max(e - 3, 0), e + 3)),
@@ -85,8 +88,9 @@ def test_tiles_in_any_order_equal_fresh_tiles(w, rng):
     # first or in between, each tile equals the one a fresh tile function makes
     # first (from limbs), and the tweaks of its ends
     top = 1 << (4 * w)
-    count = 3 * TILE_BLOCKS + 77
-    spans = [(start, min(start + TILE_BLOCKS, count)) for start in range(0, count, TILE_BLOCKS)]
+    length = tile_blocks(w)
+    count = 3 * length + 77
+    spans = [(start, min(start + length, count)) for start in range(0, count, length)]
     for t0, first in ((top - 1, top - 5), (rng.randrange(top), rng.randrange(top))):
         for order in ((2, 0, 3, 1), (3, 1, 0, 2)):
             tile = _tile_tweaks(t0, first, w, True)
@@ -99,8 +103,9 @@ def test_tiles_in_any_order_equal_fresh_tiles(w, rng):
                     assert tuple(int(c[j - start]) for c in got) == tweak_at(t0, (first + j) % top, w)
 
 
-# SHA-256 of the tweaked container of a seeded payload of 3 tiles, the last one
-# short, computed before later tiles were advanced from the first
+# SHA-256 of the tweaked container of a seeded payload of 2 * 2**15 + 99 blocks
+# and 3 octets, computed before later tiles were advanced from the first and
+# before tiles ran on threads: 3 tiles at w=64, the last one short, 2 at w=32, 1 at w=16
 GOLDEN_MULTI_TILE_CONTAINERS = {
     16: "ab0225947a7a96271188296bddc79653dad1c6db15c301f544d7754a5d5cb8fd",
     32: "9df5eef55646540aa455192595a8cba3ab48492540193dd84fe21eb69112b088",
@@ -111,7 +116,7 @@ GOLDEN_MULTI_TILE_CONTAINERS = {
 @pytest.mark.parametrize("w", sorted(GOLDEN_MULTI_TILE_CONTAINERS))
 def test_golden_multi_tile_container_digest(w):
     seeded = random.Random(20261019 + w)
-    payload = seeded.randbytes((2 * TILE_BLOCKS + 99) * (w // 2) + 3)
+    payload = seeded.randbytes((2 * tile_blocks(64) + 99) * (w // 2) + 3)
     key = tuple(seeded.randrange(1 << w) for _ in range(5))
     tweak_key, unit_key = seeded.randrange(1 << (4 * w)), seeded.randrange(1 << w)
     blob = encrypt_bytes(payload, key, tweak_key, unit_key, w)
