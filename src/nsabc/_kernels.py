@@ -4,16 +4,25 @@ The 32 rounds run as the cipher's own register loop: ``cipher.round_update``
 with an affine G-box where ``cipher.crypt`` calls ``gbox``, on words of the
 dtype ``cipher.word_dtype``, which wraps at w bits, all the reduction mod 2**w
 the cipher needs.  Decryption is the same loop on reordered words: the word
-order reversed and each word's halves swapped.  ``crypt_block`` runs either
-direction on one block of word-dtype scalars (``crypt_words``,
+order reversed (R) and each word's halves swapped (S).  ``crypt_block`` runs
+either direction on one block of word-dtype scalars (``crypt_words``,
 ``icrypt_words``), ``crypt_batch`` on many, as columns, one tile at a time
-(``crypt_tile``, ``icrypt_tile``).  Both take the schedule's m and n in a
-form that ``fastpath.AffineSchedule`` makes once from its read-only
-word-dtype arrays: scalars for ``crypt_block``, 0-d arrays for
-``crypt_batch``.  Its callers check what they hand it: ``fastpath``'s batch
-entry points the blocks and the tweak rows or tweak, ``tweakstream`` the
-blocks, tweak key and first index from which its tile function derives each
-tile's tweak columns.
+(``crypt_tile``, ``icrypt_tile``).
+
+The tiles decrypt without rotating a column in or out.  S is linear over XOR,
+S(a) ^ S(b) = S(a ^ b), and its own inverse.  So the registers can hold S of
+the reordered words, which is R(y) itself: where the reordered loop XORs g or
+x0 into a register, these registers take S(g) or S(x0), and ``round_update``
+runs on them unchanged if G hands it S(g).  With A(x) = x*m + n for a
+half-round's affine form, round k's G in the reordered loop is
+G(x) = S(A1(S(A0(x)) ^ S(t[3 - k % 4]))), as its tweak words are S(R(t)), so
+
+    S(G(S(x))) = A1(S(A0(S(x))) ^ S(t[3 - k % 4])) = A1(S(A0(S(x)) ^ t[3 - k % 4])):
+
+the steps of encryption's G in another order (rotate, multiply-add, XOR the
+tweak word, rotate, multiply-add; ``_igbox_into``), on the tweak words
+reversed and never rotated.  At the end the registers hold S of the reordered
+result, so the plaintext is the registers in reverse order.
 
 A tile holds ``TILE_BYTES`` per word column, ``tile_blocks(w)`` blocks.  The
 tweak of block j depends on j alone, so tiles are independent, and a call of
@@ -21,13 +30,14 @@ tweak of block j depends on j alone, so tiles are independent, and a call of
 helpers it starts and joins before it returns.  numpy releases the
 interpreter lock inside its loops, and a tile's columns are long enough for
 the two threads to overlap.  The calling thread allocates each worker's
-workspace before any worker starts, and the workers allocate no column: they
-copy a tile into their registers, update them in place with ``out=`` ufunc
-calls, and write the result into the caller's output.  Workers ask for the
-tweak words under one lock, in tile order, as tweakstream's tile function
-keeps state; the calling thread asks for the first tile before any worker
-starts.  Workers call ``words`` and the tile function only, never an entry
-point that perfbench's tracer wraps, since its span stack is single-threaded.
+workspace, one array for all, before it asks for the first tile, and the
+workers allocate no column: they copy a tile into their registers, update
+them in place with ``out=`` ufunc calls, and write the result into the
+caller's output.  Workers ask for the tweak words under one lock, in tile
+order, as tweakstream's tile function keeps state; the calling thread asks
+for the first tile before any worker starts.  Workers call ``words`` and the
+tile function only, never an entry point that perfbench's tracer wraps, since
+its span stack is single-threaded.
 """
 
 from __future__ import annotations
@@ -159,8 +169,27 @@ def _gbox_into(g, r, x, t, m0, m1, n0, n1, h):
     return g
 
 
-def _rounds(work, t, m, n, h) -> list:
-    """The 32 rounds on the registers work[:4]; work[4] takes the first G output, work[5] is scratch.
+def _igbox_into(g, r, x, t, m0, m1, n0, n1, h):
+    """S(G(S(x))), G being ``affine_gbox`` under the tweak word S(t) and S the half-word
+    rotation, written into the column g with r as the rotation scratch: ``_gbox_into``'s
+    steps in another order, as the module docstring derives."""
+    np.left_shift(x, h, r)
+    np.right_shift(x, h, g)
+    g |= r
+    g *= m0
+    g += n0
+    g ^= t
+    np.left_shift(g, h, r)
+    g >>= h
+    g |= r
+    g *= m1
+    g += n1
+    return g
+
+
+def _rounds(work, t, m, n, h, gbox) -> list:
+    """The 32 rounds on the registers work[:4] with the G ``gbox`` (``_gbox_into`` or
+    ``_igbox_into``); work[4] takes the first G output, work[5] is scratch.
 
     Each G writes into the column of the register the round before dropped: a
     type-B round reads x0 in ``round_update``, and only the next G overwrites it.
@@ -168,17 +197,10 @@ def _rounds(work, t, m, n, h) -> list:
     x0, x1, x2, x3, free, r = work
     t = list(t)  # rows of an array would be made anew on each index
     for k in range(32):
-        g = _gbox_into(free, r, x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
+        g = gbox(free, r, x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
         free = x0
         x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
     return [x0, x1, x2, x3]
-
-
-def _swap_halves(a, r, h) -> None:
-    """Swap the halves of each word of the column a in place; r is scratch."""
-    np.left_shift(a, h, r)
-    a >>= h
-    a |= r
 
 
 def crypt_tile(x, y, work, t, m, n, h) -> None:
@@ -187,33 +209,18 @@ def crypt_tile(x, y, work, t, m, n, h) -> None:
     work is a (6, len(x)) array of the word dtype, the columns of ``_rounds``.
     """
     np.copyto(work[:4], x.T)
-    np.stack(_rounds(work, t, m, n, h), axis=1, out=y)
+    np.stack(_rounds(work, t, m, n, h, _gbox_into), axis=1, out=y)
 
 
 def icrypt_tile(y, x, work, t, m, n, h) -> None:
-    """``crypt_tile`` inverted, for an inverse schedule, as ``icrypt_words``.
+    """``crypt_tile`` inverted, for an inverse schedule, as ``icrypt_words``, on registers
+    that hold the reordered words' halves swapped back: the words reversed.
 
-    The words are reordered in the registers, which are contiguous: on a
-    2-core Xeon, rotating them straight from and into the (n, 4) rows took
-    1.6 / 0.9 / 0.7 ms of reordering a tile at w=16/32/64, against
-    0.7 / 0.5 / 0.5 ms this way.  An array t is the tile's own
-    tweak columns and is reordered in place, other tweak words (one tweak's,
-    shared by every tile) into new ones.
+    The G of ``_igbox_into`` keeps them so (the module docstring has the
+    argument), so no word is rotated in or out and no tweak word is written.
     """
-    r = work[5]
     np.copyto(work[:4], y.T[::-1])
-    for col in work[:4]:
-        _swap_halves(col, r, h)
-    if isinstance(t, np.ndarray):
-        for col in t:
-            _swap_halves(col, r, h)
-        t = t[::-1]
-    else:
-        t = _reordered(t, h)
-    z = _rounds(work, t, m, n, h)
-    for col in z:
-        _swap_halves(col, r, h)
-    np.stack(z[::-1], axis=1, out=x)
+    np.stack(_rounds(work, t[::-1], m, n, h, _igbox_into)[::-1], axis=1, out=x)
 
 
 def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
@@ -222,8 +229,8 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
     m and n are read-only 0-d arrays of the word dtype, made once per schedule
     (``AffineSchedule.operands``).  ``tweak(start, stop, out)`` gives the 4 tweak
     words of blocks start..stop-1: it writes them into out, a (4, stop - start)
-    array of the word dtype, and returns out, or it returns 4 scalars shared by
-    all blocks.  ``words(x, y, work, t, m, n, h)`` writes the tile x into the
+    array of the word dtype, and returns out, or returns such columns of its
+    own, or 4 scalars shared by all blocks; no tile writes them.  ``words(x, y, work, t, m, n, h)`` writes the tile x into the
     output rows y, with work and h as ``crypt_tile`` takes them.
 
     The tiles run on ``worker_count`` threads; an exception in any of them stops
@@ -237,7 +244,6 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
     if not workers:
         return y
     h = np.array(w >> 1, dtype=x.dtype)
-    shape = WORKSPACE_COLUMNS, min(length, nblocks)
     lock = threading.Lock()
     failed = []
 
@@ -262,13 +268,15 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
         except BaseException as exc:  # re-raised by the calling thread
             failed.append(exc)
 
-    space = np.empty(shape, dtype=x.dtype)
-    first = take(space)  # before the helpers' workspaces, which can reuse its temporaries' memory
-    helpers = [threading.Thread(target=work, args=(np.empty(shape, dtype=x.dtype), None)) for _ in range(workers - 1)]
+    spaces = np.empty((workers, WORKSPACE_COLUMNS, min(length, nblocks)), dtype=x.dtype)
+    # the workspaces come first: made after a seeded first tile, the helpers' ones lifted
+    # bulk-4m's peak RSS to 70.5-70.9 MB in 4 of 5 runs, against 64.0-68.5 MB
+    first = take(spaces[0])
+    helpers = [threading.Thread(target=work, args=(space, None)) for space in spaces[1:]]
     try:
         for thread in helpers:
             thread.start()
-        work(space, first)
+        work(spaces[0], first)
     finally:  # also when a thread cannot be started: the ones that were finish the tiles
         for thread in helpers:
             if thread.is_alive():

@@ -3,9 +3,11 @@
 Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path, and beside it the
 microseconds per call of the schedule set-up that a fresh key pays
-(``affine_expand`` and ``invert_affine``) and of the tweak columns of one
-tile of ``_kernels.tile_blocks(w)`` blocks: the first tile of a call, made
-from limbs, and a later one, advanced from the first.  For each width it
+(``affine_expand`` and ``invert_affine``), of the tweak columns of one tile
+of ``_kernels.tile_blocks(w)`` blocks (the first tile of a call, seeded from
+limbs and doubled, and a later one, advanced from the first) and of the
+32 rounds of one such tile in each direction (``crypt_tile``,
+``icrypt_tile``), in a preallocated workspace.  For each width it
 names the tile length and the number of threads the batch kernel runs a
 fast-batch call and a 4 MiB call on, with the reason.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MAX_WORKERS, tile_blocks, usable_cpus, worker_count
+from ._kernels import MAX_WORKERS, crypt_tile, icrypt_tile, tile_blocks, usable_cpus, worker_count
 from .cipher import crypt, word_dtype
 from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, invert_affine
 from .schedules import key_expand, tweak_expand, unit_expand
@@ -133,21 +135,29 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
 
 
 def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
-    """Time the schedule set-up of one key at one width, expansion then inversion, and the
-    tweak columns of a first tile and of a later tile advanced from it."""
+    """Time the schedule set-up of one key at one width, expansion then inversion, the
+    tweak columns of a first tile and of a later tile advanced from it, and one tile's
+    encryption and decryption.  These stay out of ``bench_width``: they are not paths."""
     rng, z, _, u, _ = _inputs(w, seconds, seed)
     schedule = affine_expand(z, u, w)
+    inverse = invert_affine(schedule)
     tweak_key = rng.randrange(1 << (4 * w))
     length = tile_blocks(w)
-    out = np.empty((4, length), dtype=word_dtype(w))  # as the kernel hands it a worker's tweak columns
+    dtype = word_dtype(w)
+    # as the kernel hands them to a worker: its workspace and tweak columns
+    work, out = np.empty((6, length), dtype), np.empty((4, length), dtype)
     tile = _tile_tweaks(tweak_key, 0, w, True)
-    tile(0, length, out)  # the first tile, which the timed later one is advanced from
+    t = tile(0, length, out)  # the first tile, which the timed later one is advanced from
+    x = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
+    y, h = np.empty_like(x), np.array(w >> 1, dtype)
     return [
         SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
         SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
         SetupResult("tweak_first_tile", w,
                     *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, length, out), seconds, 1)),
         SetupResult("tweak_advanced_tile", w, *_measure(lambda: tile(length, 2 * length, out), seconds, 1)),
+        SetupResult("tile_encrypt", w, *_measure(lambda: crypt_tile(x, y, work, t, *schedule.operands, h), seconds, 1)),
+        SetupResult("tile_decrypt", w, *_measure(lambda: icrypt_tile(x, y, work, t, *inverse.operands, h), seconds, 1)),
     ]
 
 
@@ -181,7 +191,7 @@ def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
         lines.append(f"{r.path:<20} {r.width:>3} {r.bytes_per_second / 1e6:>10.3f} {cpb_text}")
     if setup:
         lines.append("")
-        lines.append(f"{'set-up, tweak tile':<20} {'w':>3} {'us/call':>10}")
+        lines.append(f"{'set-up, tiles':<20} {'w':>3} {'us/call':>10}")
         for s in setup:
             lines.append(f"{s.stage:<20} {s.width:>3} {s.us_per_call:>10.1f}")
     lines.append("")

@@ -10,10 +10,11 @@ an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
 points hand ``_kernels.crypt_batch`` a tile function that makes each tile's 4
 tweak columns, into the worker's own columns, when the kernel reaches that
 tile of ``_kernels.tile_blocks(w)`` blocks.
-The first tile of a call is array arithmetic on limbs of min(w, 32) bits,
-based on the tweak of its first block; two tiles differ by one 4w-bit
-constant, so every later tile is the first plus that constant, one add with
-carry over the 4 word columns.  No tweak array as large as the input is built.
+The first ``SEED_BLOCKS`` blocks of a call's first tile are array arithmetic
+on limbs of min(w, 32) bits, based on the tweak of its first block, and the
+rest of that tile is doubled from them; two runs of blocks differ by one
+4w-bit constant, so every later tile is the first plus that constant, one add
+with carry over the 4 word columns.  No tweak array as large as the input is built.
 As odot is a group operation, j -> T(j) is injective, so no tweak repeats
 before 2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
@@ -50,30 +51,41 @@ def _limbs(value: int, w: int) -> np.ndarray:
     return np.frombuffer(value.to_bytes(w // 2, "little"), dtype=word_dtype(min(w, 32))).astype(np.uint64)[:, None]
 
 
+#: Blocks of a first tile made from limbs; the rest of it is doubled from them.
+#: Seeds from 2**9 to 2**13 made a full first tile in about the same time, 0.25 to
+#: 0.36 ms at every width on a 2-core Xeon, against 0.6 to 1.4 ms from limbs alone.
+SEED_BLOCKS = 1 << 10
+
+
 def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     """The kernel's tile tweak for blocks first_index, first_index+1, ...; the key for all if not tweaking.
 
-    ``tile(start, stop, out)`` writes the tile's 4 tweak columns into out, a
-    (4, stop - start) array of ``word_dtype(w)``, and returns it; without out it
-    returns a new array.  Block i of the tile from ``start`` gets base + i*step
-    mod 2**(4w), with base the tweak of block first_index+start and
-    step = 2*T0 + 1.  The first tile asked for is made from both, split into
-    limbs of b = min(w, 32) bits: the limb sums base_b + i*step_b are formed
-    limb-major in uint64.  A tile has i < ``tile_blocks(w)`` = 2**17 / 2**16 /
-    2**15 at w=16/32/64, so i*step_b < 2**33 / 2**48 / 2**47, and each limb
+    ``tile(start, stop, out)`` returns the tile's 4 tweak columns, a
+    (4, stop - start) array of ``word_dtype(w)``: out, written, for every tile
+    but the one asked for first, whose columns it keeps, read-only, and returns
+    itself.  Without out a later tile goes into a new array.  Block i of the
+    tile from ``start`` gets base + i*step mod 2**(4w), with base the tweak of
+    block first_index+start and step = 2*T0 + 1.
+
+    The first tile asked for is seeded from both: its first s = min(count,
+    ``SEED_BLOCKS``) blocks are split into limbs of b = min(w, 32) bits, and
+    the limb sums base_b + i*step_b are formed limb-major in uint64.  As
+    i < 2**10, i*step_b < 2**26 / 2**42 / 2**42 at w=16/32/64, and each limb
     sum, with the carry it takes in from the limb below, stays below
-    2**34 / 2**49 / 2**48: one pass from the lowest limb up carries them all.
+    2**27 / 2**43 / 2**43: one pass from the lowest limb up carries them all.
     Reducing each limb to b bits then drops the carry out of the top one too,
-    the reduction mod 2**(4w).  A limb is a word, or at w=64 half of one.
+    the reduction mod 2**(4w).  A limb is a word, or at w=64 half of one.  The
+    rest of the tile is doubled from the seed: the columns [s, 2s) are the
+    columns [0, s) plus s*step, and so on until the tile is full.
 
     Each later tile is that first tile advanced: block i of the tile from
-    ``start`` is block i of the first tile plus (start - start_first)*step, one
-    4w-bit constant for the whole tile, added to the 4 columns as words with
-    carry, in two bool columns kept with the first tile, so that a later tile
-    allocates no column.  A tile longer than the first one (a short tile came
-    first) is made from limbs too and is kept as the one to advance, so any
-    order of requests gives the closed form.  The function keeps state: it is
-    not to be called from two threads at once.
+    ``start`` is block i of the first tile plus (start - start_first)*step.
+    Doubling and advancing are one add of a 4w-bit constant to 4 columns as
+    words with carry (``advance``), in two bool columns kept with the first
+    tile, so that a later tile allocates no column.  A tile longer than the
+    first one (a short tile came first) is seeded too and is kept as the one to
+    advance, so any order of requests gives the closed form.  The function
+    keeps state: it is not to be called from two threads at once.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
@@ -85,34 +97,12 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     dtype = word_dtype(w)
     first = None  # (start, columns, carry flags) of the tile that later tiles advance from
 
-    def limb_tile(start: int, stop: int) -> np.ndarray:
-        acc = step_limbs * np.arange(stop - start, dtype=np.uint64)
-        acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
-        for lo, hi in zip(acc, acc[1:]):
-            hi += lo >> bits
-        if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
-            lo = acc[0::2]
-            lo &= 0xFFFFFFFF
-            acc = acc[1::2] << 32  # a new array of 4 words: the limbs are not kept with the columns
-            acc |= lo
-        columns = acc.astype(dtype, copy=False)
-        columns.flags.writeable = False  # later tiles are advanced from these
-        return columns
-
-    def tile(start: int, stop: int, out=None) -> np.ndarray:
-        nonlocal first
-        count = stop - start
-        if out is None:
-            out = np.empty((4, count), dtype)
-        if first is None or count > first[1].shape[1]:
-            first = start, limb_tile(start, stop), np.empty((2, count), bool)
-            np.copyto(out, first[1])
-            return out
-        base_start, base, flags = first
+    def advance(columns, blocks: int, out, flags) -> None:
+        """Write the tweaks ``blocks`` blocks after the columns into out, of their shape."""
         # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off
-        delta = np.array(int_to_block((start - base_start) * step & wm, w), dtype)
-        np.add(base[:, :count], delta[:, None], out)
-        carry, over = flags[:, :count]
+        delta = np.array(int_to_block(blocks * step & wm, w), dtype)
+        np.add(columns, delta[:, None], out)
+        carry, over = flags[:, :out.shape[1]]
         np.less(out[0], delta[0], carry)
         for s, c in zip(out[1:3], delta[1:3]):
             np.less(s, c, over)
@@ -120,6 +110,39 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
             np.less(s, carry, carry)  # adding the carry in wrapped s to 0
             carry |= over
         out[3] += carry
+
+    def seeded_tile(start: int, count: int):
+        """The tile of ``count`` blocks from ``start``, read-only, and its carry flags."""
+        seed = min(count, SEED_BLOCKS)
+        acc = step_limbs * np.arange(seed, dtype=np.uint64)
+        acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
+        for lo, hi in zip(acc, acc[1:]):
+            hi += lo >> bits
+        if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
+            lo = acc[0::2]
+            lo &= 0xFFFFFFFF
+            acc = acc[1::2] << 32
+            acc |= lo
+        columns = np.empty((4, count), dtype)
+        flags = np.empty((2, count), bool)
+        columns[:, :seed] = acc
+        while seed < count:
+            more = min(seed, count - seed)
+            advance(columns[:, :more], seed, columns[:, seed:seed + more], flags)
+            seed += more
+        columns.flags.writeable = False  # later tiles are advanced from these
+        return columns, flags
+
+    def tile(start: int, stop: int, out=None) -> np.ndarray:
+        nonlocal first
+        count = stop - start
+        if first is None or count > first[1].shape[1]:
+            first = start, *seeded_tile(start, count)
+            return first[1]
+        base_start, base, flags = first
+        if out is None:
+            out = np.empty((4, count), dtype)
+        advance(base[:, :count], start - base_start, out, flags)
         return out
 
     return tile

@@ -199,6 +199,24 @@ def test_bench_reports_tweak_tiles_without_key_material(capsys):
             assert digits not in out
 
 
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_bench_reports_tile_rounds_without_key_material(w, capsys):
+    # one tile's encryption and decryption get one line each per width, in the
+    # set-up section, so that the two directions can be compared; the seeded key
+    # and unit key they run under must not show up in the report
+    assert run("bench", "--width", str(w), "--seconds", "0.02", "--seed", "5") == EXIT_OK
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.startswith("tile_")]
+    assert [row[:2] for row in rows] == [["tile_encrypt", str(w)], ["tile_decrypt", str(w)]]
+    assert all(len(row) == 3 and float(row[2]) > 0 for row in rows)
+    # whole fields: a short word's digits may well occur inside a timing
+    _, z, _, u, _ = nsabc.bench._inputs(w, 0.02, 5)
+    schedule = affine_expand(z, u, w)
+    for word in (*z, u, *schedule.m, *schedule.n, *invert_affine(schedule).m, *invert_affine(schedule).n):
+        for digits in (str(word), f"{word:x}", f"{word:X}"):
+            assert not any(digits in row for row in rows)
+
+
 def test_bench_reports_tiles_and_workers(capsys):
     # each width names its tile length and the threads a fast-batch call and a
     # 4 MiB call run on, and why: the usable CPUs and the tile count

@@ -423,9 +423,17 @@ def test_batch_matches_scalar(w):
         for i in tile_edge_rows(rng, count, w):
             assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
         assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
+    # all-zero and all-ones blocks and tweaks across two tile edges: every row of
+    # a batch is the one block the scalar path gives, in both directions
+    length = tile_blocks(w)
+    for xv, tv in ((0, 0), (0, (1 << w) - 1), ((1 << w) - 1, 0), ((1 << w) - 1, (1 << w) - 1)):
+        xa, ta = (np.full((2 * length + 1, 4), v, dtype=word_dtype(w)) for v in (xv, tv))
+        for fn, scalar, sched in ((crypt_fast_batch, crypt_fast, s), (icrypt_fast_batch, icrypt_fast, inv)):
+            block = np.array(scalar([xv] * 4, [tv] * 4, sched), dtype=word_dtype(w))
+            assert (fn(xa, ta, sched) == block).all(), (fn.__name__, xv, tv)
+        assert np.array_equal(icrypt_fast_batch(crypt_fast_batch(xa, ta, s), ta, inv), xa)
     # read-only inputs: the kernel updates its registers in place, so a write
     # into caller data instead of the tile copy would raise here
-    length = tile_blocks(w)
     xa, ta = random_block_array(rng, length + 1, w), random_block_array(rng, length + 1, w)
     xa.setflags(write=False)
     ta.setflags(write=False)
@@ -650,10 +658,10 @@ def test_batch_never_writes_caller_arrays(w, rng):
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_decrypt_reorder_writes_no_tweak(w, rng):
-    # icrypt_tile reorders in place only the tweak columns of the tile's own
-    # workspace: tweak words a tile function returns in a list, such as read-only
-    # columns, on which a reorder in place would raise, go into new words, and one
-    # tweak's words serve every tile, so they must reach each tile unchanged
+    # icrypt_tile reverses the tweak words and never writes them: read-only
+    # columns, returned in a list, on which a write would raise, writable columns
+    # a tile function keeps as its own (tweakstream's first tile is such), and one
+    # tweak's words, which serve every tile, all reach each tile unchanged
     _, z, t, u = random_tuple(rng, w)
     inv = invert_affine(affine_expand(z, u, w))
     count = 2 * tile_blocks(w) + 5
@@ -664,6 +672,16 @@ def test_decrypt_reorder_writes_no_tweak(w, rng):
     rows = tile_edge_rows(rng, count, w)
     for i in rows:
         assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
+    own = {}
+
+    def writable(start, stop, _):
+        own[start] = columns[:, start:stop].copy()
+        return own[start]
+
+    assert np.array_equal(crypt_batch(ya, writable, *inv.operands, w, icrypt_tile), out)
+    assert sorted(own) == list(range(0, count, tile_blocks(w)))
+    for start, kept in own.items():
+        assert np.array_equal(kept, columns[:, start:start + kept.shape[1]]), start
     single = np.array(t, dtype=word_dtype(w))
     single.setflags(write=False)
     for tweak in (t, single):  # Python ints, and a read-only array of the word dtype

@@ -10,7 +10,7 @@ from conftest import random_tuple, random_words, tile_tweak_rows
 from nsabc._kernels import tile_blocks
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import _tile_tweaks, decrypt_blocks, encrypt_blocks, tweak_at
+from nsabc.tweakstream import SEED_BLOCKS, _tile_tweaks, decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -60,6 +60,22 @@ def test_closed_form_equals_recurrence(w, rng):
         sample = [0, count - 1, *range(length - 3, length + 3), *(rng.randrange(count) for _ in range(50))]
         for j in sample:
             assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
+    # first tiles seeded from SEED_BLOCKS blocks of limbs and doubled, at every
+    # seed and doubling edge.  Key 0 from top - SEED_BLOCKS - 1 makes block
+    # SEED_BLOCKS + 1 the first doubling's sum (top - SEED_BLOCKS) + SEED_BLOCKS,
+    # whose carry crosses all 4 words; with key top - 1 the step is all ones, so
+    # adding s*step wraps every word at each doubling
+    seed = SEED_BLOCKS
+    for t0, first in ((0, top - seed - 1), (top - 1, top - seed - 1), (top - 1, 0),
+                      (rng.randrange(top), rng.randrange(top))):
+        for count in (1, seed - 1, seed, seed + 1, 2 * seed, 2 * seed + 1, 3 * seed + 5):
+            expected = [tweak_at(t0, (first + j) % top, w) for j in range(count)]
+            assert np.array_equal(tile_tweak_rows(t0, first, count, w), np.array(expected, dtype=np.uint64))
+        rows = tile_tweak_rows(t0, first, length, w)
+        edges = [seed << k for k in range(length.bit_length()) if seed << k < length]
+        sample = {length - 1, *(j for e in edges for j in range(e - 2, e + 3)), *(rng.randrange(length) for _ in range(20))}
+        for j in sorted(sample):
+            assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w), (t0, first, j)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -86,7 +102,7 @@ def test_advanced_tiles_equal_the_closed_form(w, rng):
 def test_tiles_in_any_order_equal_fresh_tiles(w, rng):
     # the tile function keeps no order: requested out of order, short last tile
     # first or in between, each tile equals the one a fresh tile function makes
-    # first (from limbs), and the tweaks of its ends
+    # first (seeded from limbs), and the tweaks of its ends
     top = 1 << (4 * w)
     length = tile_blocks(w)
     count = 3 * length + 77
