@@ -1,13 +1,13 @@
 """The one fast block transform.
 
 The 32 rounds run as the cipher's own register loop: ``cipher.round_update``
-with an affine G-box where ``cipher.crypt`` calls ``gbox``, on words of the
-dtype ``cipher.word_dtype``, which wraps at w bits, all the reduction mod 2**w
-the cipher needs.  Decryption is the same loop on reordered words: the word
-order reversed (R) and each word's halves swapped (S).  ``crypt_block`` runs
-either direction on one block of word-dtype scalars (``crypt_words``,
-``icrypt_words``), ``crypt_batch`` on many, as columns, one tile at a time
-(``crypt_tile``, ``icrypt_tile``).
+with an affine G-box where ``cipher.crypt`` calls ``gbox``.  ``crypt_words``
+runs it on one block of Python ints, masked to w bits; ``crypt_batch`` runs
+it on many, as columns of the dtype ``cipher.word_dtype``, which wraps at w
+bits, all the reduction mod 2**w the cipher needs, one tile at a time
+(``crypt_tile``, ``icrypt_tile``).  Decryption is the same loop on reordered
+words: the word order reversed (R) and each word's halves swapped (S), as
+``icrypt_words`` runs it on one block.
 
 The tiles decrypt without rotating a column in or out.  S is linear over XOR,
 S(a) ^ S(b) = S(a ^ b), and its own inverse.  So the registers can hold S of
@@ -84,62 +84,43 @@ def resolve_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# one block: word-dtype scalars
-#
-# Operator arithmetic: a ufunc call on numpy scalars costs 10-30x more.  h, the
-# half-word shift w/2, is a scalar of the word dtype like the schedule words.
+# one block: Python ints, masked to w bits
 
 
-def affine_gbox(x, t, m0, m1, n0, n1, h):
-    """G-box in affine form; equals gbox under the (m, n) correspondence.
+def affine_gbox(x, t, m0, m1, n0, n1, h, mask):
+    """G-box in affine form on int words; equals gbox under the (m, n) correspondence.
 
-    x and t are word-dtype scalars or columns, m0, m1, n0, n1 and the half-word shift h
-    scalars or 0-d arrays of that dtype, whose wrap at w bits is the reduction mod 2**w;
-    Python ints would give an unreduced, wrong value.  ``crypt_batch`` runs
-    ``_gbox_into``, the same steps into a given column.
+    h is the half-word shift w/2 and mask 2**w - 1, the reduction mod 2**w, made once
+    per block by ``crypt_words``: made in each call they cost it 8-10 %.  The first
+    rotation is not masked: its bits above w only reach bits above w of the product,
+    which the next mask drops.  ``crypt_batch`` runs ``_gbox_into``, the same steps
+    on columns whose dtype wraps at w bits.
     """
-    x = x * m0
-    x += n0
-    r = x << h
-    x >>= h
-    x |= r
-    x ^= t
-    x *= m1
-    x += n1
-    r = x << h
-    x >>= h
-    x |= r
-    return x
+    x = (x * m0 + n0) & mask
+    x = (((x << h | x >> h) ^ t) * m1 + n1) & mask
+    return (x << h | x >> h) & mask
 
 
-def crypt_words(x, t, m, n, h) -> list:
-    """The 32-round transform of the 4 words x under the 4 tweak words t."""
+def crypt_words(x, t, m, n, w: int) -> tuple[int, ...]:
+    """The 32-round transform of the 4 int words x under the 4 int tweak words t."""
+    h, mask = w >> 1, (1 << w) - 1
     x0, x1, x2, x3 = x
     for k in range(32):
-        g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
+        g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h, mask)
         x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
-    return [x0, x1, x2, x3]
+    return x0, x1, x2, x3
 
 
-def _reordered(words, h) -> list:
-    """The words in reverse order with their halves swapped, as new words."""
-    return [(x >> h) | (x << h) for x in reversed(words)]
+def _reordered(words, w: int) -> tuple[int, ...]:
+    """The int words in reverse order with their halves swapped."""
+    h, mask = w >> 1, (1 << w) - 1
+    return tuple([(x << h | x >> h) & mask for x in reversed(words)])
 
 
-def icrypt_words(y, t, m, n, h):
+def icrypt_words(y, t, m, n, w: int) -> tuple[int, ...]:
     """``crypt_words`` inverted, for an inverse schedule: the words reversed with halves
     swapped are encrypted, and the result, reordered alike, is the plaintext."""
-    return _reordered(crypt_words(_reordered(y, h), _reordered(t, h), m, n, h), h)
-
-
-def crypt_block(x, t, m, n, w: int, words=crypt_words) -> tuple[int, ...]:
-    """``words`` on 4 int words and 4 int tweak words as scalars of the dtype of m and n; ints back.
-
-    numpy warns when scalar arithmetic wraps, but wrapping at w bits is the cipher's arithmetic.
-    """
-    word = type(m[0])
-    with np.errstate(over="ignore"):
-        return tuple(map(int, words(list(map(word, x)), list(map(word, t)), m, n, word(w >> 1))))
+    return _reordered(crypt_words(_reordered(y, w), _reordered(t, w), m, n, w), w)
 
 
 # ---------------------------------------------------------------------------

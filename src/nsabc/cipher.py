@@ -91,8 +91,8 @@ def round_update(x0, x1, x2, x3, g, k: int):
 
     A type-A round XORs g into x1, a type-B round XORs x0 into x3; both then
     put g in x0's place and rotate the register one word down.  The XOR is an
-    augmented assignment: it rebinds a Python int in ``crypt`` or a word-dtype
-    scalar, and updates a word-dtype column in place in
+    augmented assignment: it rebinds a Python int in ``crypt`` and
+    ``_kernels.crypt_words``, and updates a word-dtype column in place in
     ``_kernels._rounds``, so callers hand over columns they own.
     """
     # (k & 8) == 0 selects type A exactly on passes 1 and 3, i.e. k in [0,8) u [16,24)

@@ -7,20 +7,21 @@ affine map ``m*x + n`` with ``m = 2(z-e)+1`` (always odd) and
 (m, n) pairs turns every G-box evaluation into two multiply-adds plus the
 swaps and the tweak XOR.
 
-The 32-round register loop lives in ``_kernels`` and runs on words of
-``cipher.word_dtype``, whose wrap at w bits is the cipher's reduction: the
-scalar functions here hand one checked block to ``_kernels.crypt_block``, the
-batch functions their checked blocks to ``_kernels.crypt_batch``, which runs
-them tile by tile and asks for each tile's tweak words as it goes, copied
-from checked tweak rows into the tile's own columns, or one checked tweak
-(``tweakstream`` hands the kernel its derived tweaks itself).
+The 32-round register loop lives in ``_kernels``.  The scalar functions here
+hand one checked block of Python ints and the schedule's int words m and n to
+``_kernels.crypt_words`` / ``icrypt_words``, which mask to w bits; the batch
+functions hand their checked blocks to ``_kernels.crypt_batch``, which runs
+them tile by tile on words of ``cipher.word_dtype``, whose wrap at w bits is
+the cipher's reduction, and asks for each tile's tweak words as it goes,
+copied from checked tweak rows into the tile's own columns, or one checked
+tweak (``tweakstream`` hands the kernel its derived tweaks itself).
 
-An ``AffineSchedule`` holds its m and n once as read-only arrays of that
-dtype, and makes from them, once each, the two operand forms: scalars for
-the scalar path (``constants``) and 0-d arrays for the batch kernel
-(``operands``).  ``affine_expand`` and ``invert_affine`` derive those arrays
-with word-dtype arithmetic, whose wrap does every reduction; their words are
-not scanned again, while a schedule built by hand is checked word by word.
+An ``AffineSchedule`` holds its m and n as tuples of ints and once more as
+read-only arrays of that dtype, from which it makes, once, the batch
+kernel's 0-d operands (``operands``).  ``affine_expand`` and
+``invert_affine`` derive those arrays with word-dtype arithmetic, whose wrap
+does every reduction; their words are not scanned again, while a schedule
+built by hand is checked word by word.
 Key and unit key are validated by the schedule expansions they feed.
 """
 
@@ -42,9 +43,10 @@ from .words import check_cipher_width, check_word, mod_inverse
 class AffineSchedule:
     """Precomputed (m, n) pairs for the 64 half-rounds; every m is odd.
 
-    ``arrays`` holds m and n once more, as read-only arrays of the word dtype,
-    from which both operand forms of the fast transform are made.  The pairs
-    give away the key and unit words, so ``repr`` leaves them out.
+    The scalar path runs on the int tuples m and n.  ``arrays`` holds them once
+    more, as read-only arrays of the word dtype, from which the batch kernel's
+    operands are made.  The pairs give away the key and unit words, so
+    ``repr`` leaves them out.
     """
 
     width: int
@@ -85,11 +87,6 @@ class AffineSchedule:
         object.__setattr__(self, "arrays", (m, n))
 
     @cached_property
-    def constants(self) -> tuple[tuple, tuple]:
-        """m and n as scalars of the word dtype, the operands of the scalar path."""
-        return tuple(map(tuple, self.arrays))
-
-    @cached_property
     def operands(self) -> tuple[list, list]:
         """m and n as read-only 0-d arrays of the word dtype, the operands of ``crypt_batch``."""
         return tuple([a[i, ...] for i in range(64)] for a in self.arrays)
@@ -112,7 +109,7 @@ def crypt_fast(block, tweak, schedule: AffineSchedule):
     """Optimized-path equivalent of the reference 32-round transform."""
     w = schedule.width
     x, t = check_block(block, w), check_tweak(tweak, w)
-    return _kernels.crypt_block(x, t, *schedule.constants, w)
+    return _kernels.crypt_words(x, t, schedule.m, schedule.n, w)
 
 
 def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
@@ -136,7 +133,7 @@ def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
     """
     w = inverse_schedule.width
     y, t = check_block(block, w), check_tweak(tweak, w)
-    return _kernels.crypt_block(y, t, *inverse_schedule.constants, w, _kernels.icrypt_words)
+    return _kernels.icrypt_words(y, t, inverse_schedule.m, inverse_schedule.n, w)
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,8 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     ``tile(start, stop, out)`` returns the tile's 4 tweak columns, a
     (4, stop - start) array of ``word_dtype(w)``: out, written, for every tile
     but the one asked for first, whose columns it keeps, read-only, and returns
-    itself.  Without out a later tile goes into a new array.  Block i of the
-    tile from ``start`` gets base + i*step mod 2**(4w), with base the tweak of
-    block first_index+start and step = 2*T0 + 1.
+    itself.  Block i of the tile from ``start`` gets base + i*step mod
+    2**(4w), with base the tweak of block first_index+start and step = 2*T0 + 1.
 
     The first tile asked for is seeded from both: its first s = min(count,
     ``SEED_BLOCKS``) blocks are split into limbs of b = min(w, 32) bits, and
@@ -133,15 +132,13 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
         columns.flags.writeable = False  # later tiles are advanced from these
         return columns, flags
 
-    def tile(start: int, stop: int, out=None) -> np.ndarray:
+    def tile(start: int, stop: int, out) -> np.ndarray:
         nonlocal first
         count = stop - start
         if first is None or count > first[1].shape[1]:
             first = start, *seeded_tile(start, count)
             return first[1]
         base_start, base, flags = first
-        if out is None:
-            out = np.empty((4, count), dtype)
         advance(base[:, :count], start - base_start, out, flags)
         return out
 

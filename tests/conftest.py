@@ -40,7 +40,7 @@ def tile_tweak_rows(tweak_key, first_index, count, w):
     length = tile_blocks(w)
     for start in range(0, count, length):
         stop = min(start + length, count)
-        columns = tile(start, stop)
+        columns = tile(start, stop, np.empty((4, stop - start), dtype=word_dtype(w)))
         assert all(c.dtype == word_dtype(w) and c.shape == (stop - start,) for c in columns)
         rows.append(np.stack(columns, axis=1))
     return np.concatenate(rows)

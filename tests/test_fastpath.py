@@ -15,7 +15,16 @@ import pytest
 
 from conftest import lift, random_tuple, random_words
 from nsabc import _kernels
-from nsabc._kernels import affine_gbox, crypt_batch, crypt_tile, icrypt_tile, resolve_backend, tile_blocks
+from nsabc._kernels import (
+    _gbox_into,
+    _igbox_into,
+    affine_gbox,
+    crypt_batch,
+    crypt_tile,
+    icrypt_tile,
+    resolve_backend,
+    tile_blocks,
+)
 from nsabc.cipher import crypt, decrypt, gbox, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
@@ -29,7 +38,7 @@ from nsabc.fastpath import (
 from nsabc.kat import standard_trace, trace_matches_reference
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
 from nsabc.tweakstream import decrypt_blocks, encrypt_block_at, encrypt_blocks, tweak_at
-from nsabc.words import mod_inverse
+from nsabc.words import mod_inverse, swap_halves
 
 Z16 = (0x0000, 0x0005, 0x0066, 0x0777, 0x8888)
 T16 = (0x4444, 0x0333, 0x0022, 0x0001)
@@ -37,14 +46,9 @@ U16 = 0x1998
 X16 = (0xCDEF, 0x89AB, 0x4567, 0x0123)
 
 
-def columns(w, *words):
-    """Each int word as a 1-element column of the width's word dtype, the operands of ``affine_gbox``."""
-    return [np.array([v], dtype=word_dtype(w)) for v in words]
-
-
-def scalars(w, *words):
-    """Each int word as a scalar of the width's word dtype: ``affine_gbox``'s constants and shift."""
-    return [word_dtype(w).type(v) for v in words]
+def shift_and_mask(w):
+    """``affine_gbox``'s last two arguments: the half-word shift and the w-bit mask."""
+    return w >> 1, (1 << w) - 1
 
 
 def edge_key_material(w):
@@ -67,10 +71,10 @@ def test_fast_rounds_match_reference_trace():
         trace = []
         crypt(x, key_expand(z, w), unit_expand(u, w), tweak_expand(t, w), w, trace=trace)
         s = affine_expand(z, u, w)
-        m, n = s.constants
+        m, n = s.m, s.n
         for k, state, g in trace[:32]:
-            assert affine_gbox(*columns(w, state[0], t[k & 3]), m[2 * k], m[2 * k + 1], n[2 * k],
-                               n[2 * k + 1], *scalars(w, w >> 1)).tolist() == [g], f"w={w} round {k}"
+            assert affine_gbox(state[0], t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1],
+                               *shift_and_mask(w)) == g, f"w={w} round {k}"
         y = crypt_fast(x, t, s)
         assert y == trace[32][1], f"w={w}"
         assert all(type(v) is int for v in y)
@@ -98,7 +102,7 @@ def test_affine_pair_is_identity_when_key_word_equals_unit_word():
     # cancels itself out and the whole transform is the identity
     ident = AffineSchedule(16, (1,) * 64, (0,) * 64)
     assert crypt_fast(X16, (0, 0, 0, 0), ident) == X16
-    assert affine_gbox(*columns(16, 0xABCD, 0), *scalars(16, 1, 1, 0, 0, 8)).tolist() == [0xABCD]
+    assert affine_gbox(0xABCD, 0, 1, 1, 0, 0, *shift_and_mask(16)) == 0xABCD
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -130,7 +134,6 @@ def test_affine_expand_matches_the_word_formula(w, rng):
             assert all(a.shape == () for a in operands)
             assert [a.tolist() for a in sched.arrays] == [list(sched.m), list(sched.n)]
             assert [int(v) for v in operands] == [*sched.m, *sched.n]
-            assert [int(v) for words in sched.constants for v in words] == [*sched.m, *sched.n]
         inv = invert_affine(s)
         first, again = crypt_fast_batch(xs, (1, 2, 3, 4), s), crypt_fast_batch(xs, (1, 2, 3, 4), s)
         assert np.array_equal(first, again)
@@ -166,9 +169,9 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
 
 
 def test_affine_gbox_identity_and_reference_value():
-    assert affine_gbox(*columns(16, 0x1234, 0), *scalars(16, 1, 1, 0, 0, 8)).tolist() == [0x1234]
-    (m0, m1, *_), (n0, n1, *_) = affine_expand(Z16, U16, 16).constants
-    assert affine_gbox(*columns(16, 0xCDEF, 0x4444), m0, m1, n0, n1, *scalars(16, 8)).tolist() == [0x3884]
+    assert affine_gbox(0x1234, 0, 1, 1, 0, 0, *shift_and_mask(16)) == 0x1234
+    s = affine_expand(Z16, U16, 16)
+    assert affine_gbox(0xCDEF, 0x4444, *s.m[:2], *s.n[:2], *shift_and_mask(16)) == 0x3884
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -187,15 +190,23 @@ def test_affine_gbox_equals_gbox(w):
     n0 = ((2 * l0 - 1) * (k0 - l0)) & mask
     m1 = (2 * (k1 - l1) + 1) & mask
     n1 = ((2 * l1 - 1) * (k1 - l1)) & mask
-    # the array form: a text column, tweak, constants and half-word shift of the word dtype
-    consts = scalars(w, m0, m1, n0, n1, w >> 1)
-    assert np.array_equal(gbox(xs, *map(lift, (k0, k1, l0, l1, c0)), w),
-                          affine_gbox(xs.astype(word_dtype(w)), *scalars(w, c0), *consts))
-    # spot checks of the same correspondence on single words
+    # the tiles' G-boxes, on a text and a tweak column of the word dtype with the constants
+    # and half-word shift as 0-d operands, as ``crypt_batch`` hands them over:
+    # ``_gbox_into`` is G, and ``_igbox_into`` is S(G(S(x))) under the tweak word S(c)
+    dtype = word_dtype(w)
+    cs = words(n)
+    xcol, tcol = xs.astype(dtype), cs.astype(dtype)
+    g, r = np.empty_like(xcol), np.empty_like(xcol)
+    consts = [np.array(v, dtype) for v in (m0, m1, n0, n1, w >> 1)]
+    keys = list(map(lift, (k0, k1, l0, l1)))
+    assert np.array_equal(_gbox_into(g, r, xcol, tcol, *consts), gbox(xs, *keys, cs, w))
+    assert np.array_equal(_igbox_into(g, r, xcol, tcol, *consts),
+                          swap_halves(gbox(swap_halves(xs, w), *keys, swap_halves(cs, w), w), w))
+    # spot checks of the same correspondence on int words
     sr = random.Random(w)
     for _ in range(50):
         x = sr.randrange(1 << w)
-        assert affine_gbox(*columns(w, x, c0), *consts).tolist() == [gbox(x, k0, k1, l0, l1, c0, w)]
+        assert affine_gbox(x, c0, m0, m1, n0, n1, *shift_and_mask(w)) == gbox(x, k0, k1, l0, l1, c0, w)
 
 
 def test_affine_schedule_validation():
@@ -244,10 +255,21 @@ def test_crypt_fast_known_answer():
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_crypt_fast_equals_crypt(w):
     rng = random.Random(w * 7)
-    for _ in range(150):
-        x, z, t, u = random_tuple(rng, w)
+    vectors = [random_tuple(rng, w) for _ in range(150)]
+    # the int masks at their limits: all-zero and all-ones key and unit words, blocks
+    # and tweaks, where every multiply-add and rotation wraps
+    top = (1 << w) - 1
+    edges = [(v,) * 4 for v in (0, top)]
+    vectors += [(x, z, t, u) for z, u in edge_key_material(w) + [random_tuple(rng, w)[1::2]]
+                for x in edges for t in edges]
+    for x, z, t, u in vectors:
         ref = crypt(x, key_expand(z, w), unit_expand(u, w), tweak_expand(t, w), w)
-        assert crypt_fast(x, t, affine_expand(z, u, w)) == ref
+        s = affine_expand(z, u, w)
+        y = crypt_fast(x, t, s)
+        assert y == ref
+        back = icrypt_fast(y, t, invert_affine(s))
+        assert back == x
+        assert all(type(v) is int for v in (*y, *back))
 
 
 def test_unrolled_transliteration_w32(rng):

@@ -112,8 +112,8 @@ def test_tiles_in_any_order_equal_fresh_tiles(w, rng):
             tile = _tile_tweaks(t0, first, w, True)
             for k in order:
                 start, stop = spans[k]
-                got = tile(start, stop)
-                fresh = _tile_tweaks(t0, first, w, True)(start, stop)
+                got = tile(start, stop, np.empty((4, stop - start), dtype=word_dtype(w)))
+                fresh = _tile_tweaks(t0, first, w, True)(start, stop, np.empty_like(got))
                 assert all(a.dtype == word_dtype(w) and np.array_equal(a, b) for a, b in zip(got, fresh, strict=True))
                 for j in (start, stop - 1):
                     assert tuple(int(c[j - start]) for c in got) == tweak_at(t0, (first + j) % top, w)
