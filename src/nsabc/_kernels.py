@@ -30,14 +30,14 @@ tweak of block j depends on j alone, so tiles are independent, and a call of
 helpers it starts and joins before it returns.  numpy releases the
 interpreter lock inside its loops, and a tile's columns are long enough for
 the two threads to overlap.  The calling thread allocates each worker's
-workspace, one array for all, before it asks for the first tile, and the
-workers allocate no column: they copy a tile into their registers, update
-them in place with ``out=`` ufunc calls, and write the result into the
-caller's output.  Workers ask for the tweak words under one lock, in tile
-order, as tweakstream's tile function keeps state; the calling thread asks
-for the first tile before any worker starts.  Workers call ``words`` and the
-tile function only, never an entry point that perfbench's tracer wraps, since
-its span stack is single-threaded.
+workspace, one array for all, before any worker starts, and the workers
+allocate no column: they have a tile's tweak words written into their own
+tweak columns, copy the tile into their registers, update them in place with
+``out=`` ufunc calls, and write the result into the caller's output.  Workers
+take tiles under one lock, in tile order, as tweakstream's tile function
+keeps state.  Workers call ``words`` and the tile function only, never an
+entry point that perfbench's tracer wraps, since its span stack is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -208,11 +208,19 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
 
     m and n are read-only 0-d arrays of the word dtype, made once per schedule
-    (``AffineSchedule.operands``).  ``tweak(start, stop, out)`` gives the 4 tweak
-    words of blocks start..stop-1: it writes them into out, a (4, stop - start)
-    array of the word dtype, and returns out, or returns such columns of its
-    own, or 4 scalars shared by all blocks; no tile writes them.  ``words(x, y, work, t, m, n, h)`` writes the tile x into the
-    output rows y, with work and h as ``crypt_tile`` takes them.
+    (``AffineSchedule.operands``).  ``tweak(start, stop, out)`` writes the 4
+    tweak words of blocks start..stop-1 into out, a (4, stop - start) array of
+    the word dtype: the tweak columns of the workspace of the worker that took
+    the tile.  ``words(x, y, work, t, m, n, h)`` writes the tile x into the
+    output rows y under those columns t, with work and h as ``crypt_tile``
+    takes them.
+
+    ``tweak`` is called under a lock, in tile order.  A tile's tweak columns stay
+    unwritten until the next tile has been made: tiles are handed out one at a
+    time under the lock, a worker takes its next tile only after ``words``
+    finished its last, and no tile function writes t.  So a tile function may
+    make each tile from the columns of the one before, as tweakstream's does:
+    one add of a 4w-bit constant, about half the time of making a tile afresh.
 
     The tiles run on ``worker_count`` threads; an exception in any of them stops
     the others at their next tile and is raised here once all have stopped.
@@ -228,36 +236,27 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
     lock = threading.Lock()
     failed = []
 
-    def take(space):
-        """The next tile and its tweak words in space, or None once all are taken or a worker failed."""
-        with lock:
-            start = None if failed else next(starts, None)
-            if start is None:
-                return None
-            stop = min(start + length, nblocks)
-            return start, stop, tweak(start, stop, space[6:, :stop - start])
-
-    def work(space, job):
-        """Run job, a tile taken for space, then further tiles until none is left."""
+    def work(space):
+        """Run tiles, each under its tweak words in space, until all are taken or a worker failed."""
         try:
-            if job is None:
-                job = take(space)
-            while job is not None:
-                start, stop, t = job
+            while True:
+                with lock:
+                    start = None if failed else next(starts, None)
+                    if start is None:
+                        return
+                    stop = min(start + length, nblocks)
+                    t = space[6:, :stop - start]
+                    tweak(start, stop, t)
                 words(x[start:stop], y[start:stop], space[:6, :stop - start], t, m, n, h)
-                job = take(space)
         except BaseException as exc:  # re-raised by the calling thread
             failed.append(exc)
 
     spaces = np.empty((workers, WORKSPACE_COLUMNS, min(length, nblocks)), dtype=x.dtype)
-    # the workspaces come first: made after a seeded first tile, the helpers' ones lifted
-    # bulk-4m's peak RSS to 70.5-70.9 MB in 4 of 5 runs, against 64.0-68.5 MB
-    first = take(spaces[0])
-    helpers = [threading.Thread(target=work, args=(space, None)) for space in spaces[1:]]
+    helpers = [threading.Thread(target=work, args=(space,)) for space in spaces[1:]]
     try:
         for thread in helpers:
             thread.start()
-        work(spaces[0], first)
+        work(spaces[0])
     finally:  # also when a thread cannot be started: the ones that were finish the tiles
         for thread in helpers:
             if thread.is_alive():

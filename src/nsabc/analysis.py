@@ -140,21 +140,18 @@ def avalanche(w: int = 16, samples: int = 10_000, seed: int | None = None) -> An
     for v in range(bits):
         flip_words[v, v // w] = 1 << (v % w)
 
-    diffs = np.empty((samples, bits, 4), dtype=dtype)
-    for s in range(samples):
+    # each sample folds into the counts as it is made, so memory is bounded by w, not by
+    # samples: a block diff's bytes, little-endian in the word dtype, unpack low bit first
+    # into its 4w bits
+    flips = np.zeros((bits, bits), dtype=np.int64)
+    for _ in range(samples):
         z = tuple(rng.randrange(1 << w) for _ in range(5))
         t = tuple(rng.randrange(1 << w) for _ in range(4))
         u = rng.randrange(1 << w)
         x = np.array([rng.randrange(1 << w) for _ in range(4)], dtype=dtype)
         xs = np.vstack((x[None, :], x[None, :] ^ flip_words))
         ys = crypt_fast_batch(xs, t, affine_expand(z, u, w))
-        diffs[s] = ys[1:] ^ ys[0]
-
-    flips = np.empty((bits, bits), dtype=np.int64)
-    for word in range(4):
-        col = diffs[:, :, word]
-        for b in range(w):
-            flips[:, word * w + b] = ((col >> b) & 1).sum(axis=0)
+        flips += np.unpackbits((ys[1:] ^ ys[0]).view(np.uint8), axis=1, bitorder="little")
 
     probs = flips / samples
     flagged = int(np.count_nonzero((probs < AVALANCHE_LOW) | (probs > AVALANCHE_HIGH))) \

@@ -5,7 +5,7 @@ bulk workload would) and reports bytes/second per path, and beside it the
 microseconds per call of the schedule set-up that a fresh key pays
 (``affine_expand`` and ``invert_affine``), of the tweak columns of one tile
 of ``_kernels.tile_blocks(w)`` blocks (the first tile of a call, seeded from
-limbs and doubled, and a later one, advanced from the first) and of the
+limbs and doubled, and a later one, advanced from the one before) and of the
 32 rounds of one such tile in each direction (``crypt_tile``,
 ``icrypt_tile``), in a preallocated workspace.  For each width it
 names the tile length and the number of threads the batch kernel runs a
@@ -136,8 +136,8 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
 
 def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     """Time the schedule set-up of one key at one width, expansion then inversion, the
-    tweak columns of a first tile and of a later tile advanced from it, and one tile's
-    encryption and decryption.  These stay out of ``bench_width``: they are not paths."""
+    tweak columns of a first tile and of a later tile advanced from the one before, and
+    one tile's encryption and decryption.  These stay out of ``bench_width``: they are not paths."""
     rng, z, _, u, _ = _inputs(w, seconds, seed)
     schedule = affine_expand(z, u, w)
     inverse = invert_affine(schedule)
@@ -145,9 +145,9 @@ def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     length = tile_blocks(w)
     dtype = word_dtype(w)
     # as the kernel hands them to a worker: its workspace and tweak columns
-    work, out = np.empty((6, length), dtype), np.empty((4, length), dtype)
+    work, t, out = np.empty((6, length), dtype), np.empty((4, length), dtype), np.empty((4, length), dtype)
     tile = _tile_tweaks(tweak_key, 0, w, True)
-    t = tile(0, length, out)  # the first tile, which the timed later one is advanced from
+    tile(0, length, t)  # the first tile; each timed later one is advanced from the one before
     x = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
     y, h = np.empty_like(x), np.array(w >> 1, dtype)
     return [

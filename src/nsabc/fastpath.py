@@ -12,9 +12,9 @@ hand one checked block of Python ints and the schedule's int words m and n to
 ``_kernels.crypt_words`` / ``icrypt_words``, which mask to w bits; the batch
 functions hand their checked blocks to ``_kernels.crypt_batch``, which runs
 them tile by tile on words of ``cipher.word_dtype``, whose wrap at w bits is
-the cipher's reduction, and asks for each tile's tweak words as it goes,
-copied from checked tweak rows into the tile's own columns, or one checked
-tweak (``tweakstream`` hands the kernel its derived tweaks itself).
+the cipher's reduction, and has each tile's tweak words written into the
+tile's own columns as it goes, copied from checked tweak rows or from one
+checked tweak (``tweakstream`` derives its tweaks into them itself).
 
 An ``AffineSchedule`` holds its m and n as tuples of ints and once more as
 read-only arrays of that dtype, from which it makes, once, the batch
@@ -171,17 +171,11 @@ def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable:
     """The kernel's tile tweak for ``tweaks``: checked tweak rows or one checked tweak."""
     arr = _words(tweaks, w, "tweak words")
     if arr.shape == (4,):
-        words = list(arr)
-        return lambda start, stop, out: words
+        return lambda start, stop, out: np.copyto(out, arr[:, None])
     if arr.shape != (nblocks, 4):
         raise ValueError(f"expected one 4-word tweak or tweak rows of shape ({nblocks}, 4), got {arr.shape}")
-
-    def rows(start, stop, out):
-        # copied into the tile's contiguous columns: the kernel XORs each into 8 G calls a tile
-        np.copyto(out, arr[start:stop].T)
-        return out
-
-    return rows
+    # copied into the tile's contiguous columns: the kernel XORs each into 8 G calls a tile
+    return lambda start, stop, out: np.copyto(out, arr[start:stop].T)
 
 
 def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:

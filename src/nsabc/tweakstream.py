@@ -7,14 +7,15 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
-points hand ``_kernels.crypt_batch`` a tile function that makes each tile's 4
-tweak columns, into the worker's own columns, when the kernel reaches that
-tile of ``_kernels.tile_blocks(w)`` blocks.
+points hand ``_kernels.crypt_batch`` a tile function that writes each tile's 4
+tweak columns into the worker's own columns when the kernel reaches that tile
+of ``_kernels.tile_blocks(w)`` blocks.
 The first ``SEED_BLOCKS`` blocks of a call's first tile are array arithmetic
 on limbs of min(w, 32) bits, based on the tweak of its first block, and the
 rest of that tile is doubled from them; two runs of blocks differ by one
-4w-bit constant, so every later tile is the first plus that constant, one add
-with carry over the 4 word columns.  No tweak array as large as the input is built.
+4w-bit constant, so every later tile is the tile before it plus that constant,
+one add with carry over the 4 word columns.  No tweak array as large as the
+input, or as a tile, is built.
 As odot is a group operation, j -> T(j) is injective, so no tweak repeats
 before 2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
@@ -60,11 +61,10 @@ SEED_BLOCKS = 1 << 10
 def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     """The kernel's tile tweak for blocks first_index, first_index+1, ...; the key for all if not tweaking.
 
-    ``tile(start, stop, out)`` returns the tile's 4 tweak columns, a
-    (4, stop - start) array of ``word_dtype(w)``: out, written, for every tile
-    but the one asked for first, whose columns it keeps, read-only, and returns
-    itself.  Block i of the tile from ``start`` gets base + i*step mod
-    2**(4w), with base the tweak of block first_index+start and step = 2*T0 + 1.
+    ``tile(start, stop, out)`` writes the tile's 4 tweak columns into out, a
+    (4, stop - start) array of ``word_dtype(w)``.  Block i of the tile from
+    ``start`` gets base + i*step mod 2**(4w), with base the tweak of block
+    first_index+start and step = 2*T0 + 1.
 
     The first tile asked for is seeded from both: its first s = min(count,
     ``SEED_BLOCKS``) blocks are split into limbs of b = min(w, 32) bits, and
@@ -77,14 +77,16 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     rest of the tile is doubled from the seed: the columns [s, 2s) are the
     columns [0, s) plus s*step, and so on until the tile is full.
 
-    Each later tile is that first tile advanced: block i of the tile from
-    ``start`` is block i of the first tile plus (start - start_first)*step.
-    Doubling and advancing are one add of a 4w-bit constant to 4 columns as
-    words with carry (``advance``), in two bool columns kept with the first
-    tile, so that a later tile allocates no column.  A tile longer than the
-    first one (a short tile came first) is seeded too and is kept as the one to
-    advance, so any order of requests gives the closed form.  The function
-    keeps state: it is not to be called from two threads at once.
+    Each later tile is the tile asked for before it advanced: block i of the
+    tile from ``start`` is block i of the one before plus (start - its
+    start)*step.  So the columns of the tile before must be unchanged when the
+    next is asked for, as ``_kernels.crypt_batch`` keeps them.  Doubling and
+    advancing are one add of a 4w-bit constant to 4 columns as words with carry
+    (``advance``), in two bool columns made with the seeded tile, so that a
+    later tile allocates no column.  A tile longer than the one before (a short
+    tile came first) is seeded too, so any order of requests gives the closed
+    form.  The function keeps state: it is not to be called from two threads
+    at once.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
@@ -94,9 +96,9 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     step_limbs = _limbs(step, w)
     bits = min(w, 32)
     dtype = word_dtype(w)
-    first = None  # (start, columns, carry flags) of the tile that later tiles advance from
+    last = flags = None  # (start, columns) of the tile made last, and the carry flags
 
-    def advance(columns, blocks: int, out, flags) -> None:
+    def advance(columns, blocks: int, out) -> None:
         """Write the tweaks ``blocks`` blocks after the columns into out, of their shape."""
         # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off
         delta = np.array(int_to_block(blocks * step & wm, w), dtype)
@@ -110,37 +112,29 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
             carry |= over
         out[3] += carry
 
-    def seeded_tile(start: int, count: int):
-        """The tile of ``count`` blocks from ``start``, read-only, and its carry flags."""
-        seed = min(count, SEED_BLOCKS)
-        acc = step_limbs * np.arange(seed, dtype=np.uint64)
-        acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
-        for lo, hi in zip(acc, acc[1:]):
-            hi += lo >> bits
-        if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
-            lo = acc[0::2]
-            lo &= 0xFFFFFFFF
-            acc = acc[1::2] << 32
-            acc |= lo
-        columns = np.empty((4, count), dtype)
-        flags = np.empty((2, count), bool)
-        columns[:, :seed] = acc
-        while seed < count:
-            more = min(seed, count - seed)
-            advance(columns[:, :more], seed, columns[:, seed:seed + more], flags)
-            seed += more
-        columns.flags.writeable = False  # later tiles are advanced from these
-        return columns, flags
-
-    def tile(start: int, stop: int, out) -> np.ndarray:
-        nonlocal first
+    def tile(start: int, stop: int, out) -> None:
+        nonlocal last, flags
         count = stop - start
-        if first is None or count > first[1].shape[1]:
-            first = start, *seeded_tile(start, count)
-            return first[1]
-        base_start, base, flags = first
-        advance(base[:, :count], start - base_start, out, flags)
-        return out
+        if last is not None and count <= last[1].shape[1]:
+            advance(last[1][:, :count], start - last[0], out)
+        else:  # seeded
+            flags = np.empty((2, count), bool)
+            seed = min(count, SEED_BLOCKS)
+            acc = step_limbs * np.arange(seed, dtype=np.uint64)
+            acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
+            for lo, hi in zip(acc, acc[1:]):
+                hi += lo >> bits
+            if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
+                lo = acc[0::2]
+                lo &= 0xFFFFFFFF
+                acc = acc[1::2] << 32
+                acc |= lo
+            out[:, :seed] = acc
+            while seed < count:
+                more = min(seed, count - seed)
+                advance(out[:, :more], seed, out[:, seed:seed + more])
+                seed += more
+        last = start, out
 
     return tile
 

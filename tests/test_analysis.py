@@ -1,6 +1,7 @@
 """Structural analysis checks."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -75,3 +76,19 @@ PINNED_REPORTS = {
 def test_pinned_report_digests(check, w, samples, seed):
     text = SUBCOMMANDS[check](w, samples=samples, seed=seed).render()
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[check, w, samples, seed]
+
+
+def test_avalanche_memory_does_not_grow_with_samples():
+    # each sample folds into the (4w, 4w) flip counts as it is made, so the traced
+    # peak at w=64 does not grow from 200 samples to 1000, where holding every
+    # sample's diff would take 8 KiB more each; the slack is for CPython's free
+    # lists of small objects, which tracemalloc counts as they fill, about 160 KiB
+    peaks = []
+    for samples in (200, 1000):
+        tracemalloc.start()
+        try:
+            avalanche(64, samples=samples, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (512 << 10), peaks

@@ -161,8 +161,9 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
         crypt_tile(x, y, work, tw, m, n, h)
 
     xs = random_block_array(rng, 2 * tile_blocks(w) + 1, w)
+    tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
     for _ in range(2):
-        out = crypt_batch(xs, lambda start, stop, _: list(map(word_dtype(w).type, t)), *s.operands, w, words)
+        out = crypt_batch(xs, lambda start, stop, tw: np.copyto(tw, tweak_columns), *s.operands, w, words)
         assert np.array_equal(out, crypt_fast_batch(xs, t, s))
     assert len(seen) == 6 and all(m is s.operands[0] and n is s.operands[1] for m, n in seen)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
@@ -624,24 +625,32 @@ def test_batch_memory_bounded_by_a_tile(rng):
 
 
 def test_block_memory_does_not_grow_with_the_input(rng):
-    # the tweaks are made a tile at a time, so beyond its output a tweaked
-    # encrypt_blocks / decrypt_blocks call holds as much at 16 tiles as at 2
-    w = 64
-    _, z, _, u = random_tuple(rng, w)
-    t0 = rng.randrange(1 << (4 * w))
-    for fn in (encrypt_blocks, decrypt_blocks):
-        extra = []
-        for tiles in (2, 16):
-            xs = random_block_array(rng, tiles * tile_blocks(w) + 3, w)
-            tracemalloc.start()
-            try:
-                out = fn(xs, z, t0, u, w)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert out.shape == xs.shape
-            extra.append(peak - out.nbytes)
-        assert extra[1] < extra[0] + (1 << 20), (fn.__name__, extra)
+    # the tweaks are made a tile at a time, each into the tweak columns of its worker's
+    # workspace, so beyond its output a tweaked encrypt_blocks / decrypt_blocks call
+    # holds its workspaces and less than 512 KiB more (the carry flags, 2 bool columns
+    # of a tile), as much at 16 tiles as at 1
+    for w in (16, 32, 64):
+        _, z, _, u = random_tuple(rng, w)
+        t0 = rng.randrange(1 << (4 * w))
+        length = tile_blocks(w)
+        blocks = random_block_array(rng, 16 * length + 3, w)
+        for fn in (encrypt_blocks, decrypt_blocks):
+            extra = []
+            for tiles in (1, 4, 16):
+                xs = blocks[:tiles * length + 3]
+                tracemalloc.start()
+                try:
+                    out = fn(xs, z, t0, u, w)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert out.shape == xs.shape
+                # the 3 blocks past the last full tile make one more, short tile
+                workspaces = (_kernels.worker_count(tiles + 1) * _kernels.WORKSPACE_COLUMNS
+                              * min(length, len(xs)) * word_dtype(w).itemsize)
+                assert peak - out.nbytes <= workspaces + (512 << 10), (fn.__name__, w, tiles, peak - out.nbytes)
+                extra.append(peak - out.nbytes)
+            assert extra[2] < extra[0] + (1 << 20), (fn.__name__, w, extra)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -680,30 +689,35 @@ def test_batch_never_writes_caller_arrays(w, rng):
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_decrypt_reorder_writes_no_tweak(w, rng):
-    # icrypt_tile reverses the tweak words and never writes them: read-only
-    # columns, returned in a list, on which a write would raise, writable columns
-    # a tile function keeps as its own (tweakstream's first tile is such), and one
-    # tweak's words, which serve every tile, all reach each tile unchanged
+    # icrypt_tile reverses the tweak words and never writes them: columns the tile
+    # function marks read-only, on which a write would raise, writable columns,
+    # unchanged after each tile, and one tweak's words all give the same plaintext
     _, z, t, u = random_tuple(rng, w)
     inv = invert_affine(affine_expand(z, u, w))
     count = 2 * tile_blocks(w) + 5
     ya, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
     columns = ta.T.copy()
-    columns.setflags(write=False)
-    out = crypt_batch(ya, lambda start, stop, _: list(columns[:, start:stop]), *inv.operands, w, icrypt_tile)
+
+    def read_only(start, stop, out):
+        np.copyto(out, columns[:, start:stop])
+        out.flags.writeable = False
+
+    out = crypt_batch(ya, read_only, *inv.operands, w, icrypt_tile)
     rows = tile_edge_rows(rng, count, w)
     for i in rows:
         assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
-    own = {}
+    seen = []
 
-    def writable(start, stop, _):
-        own[start] = columns[:, start:stop].copy()
-        return own[start]
+    def words(y, x, work, tw, m, n, h):
+        kept = tw.copy()
+        icrypt_tile(y, x, work, tw, m, n, h)
+        seen.append(np.array_equal(tw, kept) and tw.flags.writeable)
 
-    assert np.array_equal(crypt_batch(ya, writable, *inv.operands, w, icrypt_tile), out)
-    assert sorted(own) == list(range(0, count, tile_blocks(w)))
-    for start, kept in own.items():
-        assert np.array_equal(kept, columns[:, start:start + kept.shape[1]]), start
+    def writable(start, stop, tw):
+        np.copyto(tw, columns[:, start:stop])
+
+    assert np.array_equal(crypt_batch(ya, writable, *inv.operands, w, words), out)
+    assert seen == [True] * 3
     single = np.array(t, dtype=word_dtype(w))
     single.setflags(write=False)
     for tweak in (t, single):  # Python ints, and a read-only array of the word dtype
