@@ -34,10 +34,10 @@ workspace, one array for all, before any worker starts, and the workers
 allocate no column: they have a tile's tweak words written into their own
 tweak columns, copy the tile into their registers, update them in place with
 ``out=`` ufunc calls, and write the result into the caller's output.  Workers
-take tiles under one lock, in tile order, as tweakstream's tile function
-keeps state.  Workers call ``words`` and the tile function only, never an
-entry point that perfbench's tracer wraps, since its span stack is
-single-threaded.
+take tiles under one lock and make each tile's tweak words outside it, from
+those of their own tile before.  Workers call ``words`` and the tile function
+only, never an entry point that perfbench's tracer wraps, since its span
+stack is single-threaded.
 """
 
 from __future__ import annotations
@@ -208,19 +208,15 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
 
     m and n are read-only 0-d arrays of the word dtype, made once per schedule
-    (``AffineSchedule.operands``).  ``tweak(start, stop, out)`` writes the 4
-    tweak words of blocks start..stop-1 into out, a (4, stop - start) array of
-    the word dtype: the tweak columns of the workspace of the worker that took
-    the tile.  ``words(x, y, work, t, m, n, h)`` writes the tile x into the
-    output rows y under those columns t, with work and h as ``crypt_tile``
+    (``AffineSchedule.operands``).  ``tweak(start, stop, out, prev, scratch)``
+    writes the 4 tweak words of blocks start..stop-1 into out, a
+    (4, stop - start) array of the word dtype: the tweak columns of the worker
+    that took the tile, which hold those of its tile from prev, an earlier and
+    no shorter one, or None at its first.  scratch is the 2 rows that ``words``
+    uses as G output and rotation scratch, idle between tiles.  ``words(x, y,
+    work, t, m, n, h)`` writes the tile x into the output rows y under those
+    columns t, which it must not write, with work and h as ``crypt_tile``
     takes them.
-
-    ``tweak`` is called under a lock, in tile order.  A tile's tweak columns stay
-    unwritten until the next tile has been made: tiles are handed out one at a
-    time under the lock, a worker takes its next tile only after ``words``
-    finished its last, and no tile function writes t.  So a tile function may
-    make each tile from the columns of the one before, as tweakstream's does:
-    one add of a 4w-bit constant, about half the time of making a tile afresh.
 
     The tiles run on ``worker_count`` threads; an exception in any of them stops
     the others at their next tile and is raised here once all have stopped.
@@ -238,16 +234,18 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
 
     def work(space):
         """Run tiles, each under its tweak words in space, until all are taken or a worker failed."""
+        prev = None  # start of the tile whose tweak words space[6:] holds
         try:
             while True:
                 with lock:
                     start = None if failed else next(starts, None)
-                    if start is None:
-                        return
-                    stop = min(start + length, nblocks)
-                    t = space[6:, :stop - start]
-                    tweak(start, stop, t)
-                words(x[start:stop], y[start:stop], space[:6, :stop - start], t, m, n, h)
+                if start is None:
+                    return
+                stop = min(start + length, nblocks)
+                columns, t = space[:6, :stop - start], space[6:, :stop - start]
+                tweak(start, stop, t, prev, columns[4:])
+                words(x[start:stop], y[start:stop], columns, t, m, n, h)
+                prev = start
         except BaseException as exc:  # re-raised by the calling thread
             failed.append(exc)
 

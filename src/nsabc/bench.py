@@ -4,8 +4,8 @@ Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path, and beside it the
 microseconds per call of the schedule set-up that a fresh key pays
 (``affine_expand`` and ``invert_affine``), of the tweak columns of one tile
-of ``_kernels.tile_blocks(w)`` blocks (the first tile of a call, seeded from
-limbs and doubled, and a later one, advanced from the one before) and of the
+of ``_kernels.tile_blocks(w)`` blocks (a worker's first tile, seeded from
+limbs, and a later one, advanced in place from the one before) and of the
 32 rounds of one such tile in each direction (``crypt_tile``,
 ``icrypt_tile``), in a preallocated workspace.  For each width it
 names the tile length and the number of threads the batch kernel runs a
@@ -136,7 +136,7 @@ def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
 
 def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     """Time the schedule set-up of one key at one width, expansion then inversion, the
-    tweak columns of a first tile and of a later tile advanced from the one before, and
+    tweak columns of a first tile and of a later tile advanced in place from the one before, and
     one tile's encryption and decryption.  These stay out of ``bench_width``: they are not paths."""
     rng, z, _, u, _ = _inputs(w, seconds, seed)
     schedule = affine_expand(z, u, w)
@@ -144,18 +144,18 @@ def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     tweak_key = rng.randrange(1 << (4 * w))
     length = tile_blocks(w)
     dtype = word_dtype(w)
-    # as the kernel hands them to a worker: its workspace and tweak columns
-    work, t, out = np.empty((6, length), dtype), np.empty((4, length), dtype), np.empty((4, length), dtype)
-    tile = _tile_tweaks(tweak_key, 0, w, True)
-    tile(0, length, t)  # the first tile; each timed later one is advanced from the one before
+    # as the kernel hands them to a worker: its workspace, whose G output and rotation rows
+    # are the tile function's scratch, and tweak columns, seeded by the first tile timed
+    work, t = np.empty((6, length), dtype), np.empty((4, length), dtype)
+    scratch, tile = work[4:], _tile_tweaks(tweak_key, 0, w, True)
     x = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
     y, h = np.empty_like(x), np.array(w >> 1, dtype)
     return [
         SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
         SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
         SetupResult("tweak_first_tile", w,
-                    *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, length, out), seconds, 1)),
-        SetupResult("tweak_advanced_tile", w, *_measure(lambda: tile(length, 2 * length, out), seconds, 1)),
+                    *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, length, t, None, scratch), seconds, 1)),
+        SetupResult("tweak_advanced_tile", w, *_measure(lambda: tile(length, 2 * length, t, 0, scratch), seconds, 1)),
         SetupResult("tile_encrypt", w, *_measure(lambda: crypt_tile(x, y, work, t, *schedule.operands, h), seconds, 1)),
         SetupResult("tile_decrypt", w, *_measure(lambda: icrypt_tile(x, y, work, t, *inverse.operands, h), seconds, 1)),
     ]

@@ -171,11 +171,11 @@ def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable:
     """The kernel's tile tweak for ``tweaks``: checked tweak rows or one checked tweak."""
     arr = _words(tweaks, w, "tweak words")
     if arr.shape == (4,):
-        return lambda start, stop, out: np.copyto(out, arr[:, None])
+        return lambda start, stop, out, prev, scratch: np.copyto(out, arr[:, None])
     if arr.shape != (nblocks, 4):
         raise ValueError(f"expected one 4-word tweak or tweak rows of shape ({nblocks}, 4), got {arr.shape}")
     # copied into the tile's contiguous columns: the kernel XORs each into 8 G calls a tile
-    return lambda start, stop, out: np.copyto(out, arr[start:stop].T)
+    return lambda start, stop, out, prev, scratch: np.copyto(out, arr[start:stop].T)
 
 
 def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:

@@ -7,15 +7,12 @@ Each block encrypted under one key gets its own tweak.  With tweak key T0
 
 ``tweak_at`` gives random access to any T(j).  Within a run the tweaks are
 an affine progression, T(j + i) = T(j) + i*(2*T0 + 1), so the batch entry
-points hand ``_kernels.crypt_batch`` a tile function that writes each tile's 4
-tweak columns into the worker's own columns when the kernel reaches that tile
-of ``_kernels.tile_blocks(w)`` blocks.
-The first ``SEED_BLOCKS`` blocks of a call's first tile are array arithmetic
-on limbs of min(w, 32) bits, based on the tweak of its first block, and the
-rest of that tile is doubled from them; two runs of blocks differ by one
-4w-bit constant, so every later tile is the tile before it plus that constant,
-one add with carry over the 4 word columns.  No tweak array as large as the
-input, or as a tile, is built.
+points hand ``_kernels.crypt_batch`` a tile function that writes the 4 tweak
+columns of a tile of ``_kernels.tile_blocks(w)`` blocks into the columns of
+the worker that took it.  A worker's first tile is seeded from limbs of
+min(w, 32) bits, and each later one is its tile before plus one 4w-bit
+constant, one add with carry over the 4 word columns.  No tweak array as
+large as the input, or as a tile, is built.
 As odot is a group operation, j -> T(j) is injective, so no tweak repeats
 before 2**(4w) blocks; that bound is documented, not enforced.
 Block indices live in a flat 4w-bit space; applications wanting structured
@@ -52,58 +49,65 @@ def _limbs(value: int, w: int) -> np.ndarray:
     return np.frombuffer(value.to_bytes(w // 2, "little"), dtype=word_dtype(min(w, 32))).astype(np.uint64)[:, None]
 
 
-#: Blocks of a first tile made from limbs; the rest of it is doubled from them.
-#: Seeds from 2**9 to 2**13 made a full first tile in about the same time, 0.25 to
-#: 0.36 ms at every width on a 2-core Xeon, against 0.6 to 1.4 ms from limbs alone.
+#: Blocks of a seeded tile made from limbs; the rest of it is added to them.
+#: Seeds from 2**9 to 2**13 made a full tile in about the same time, 0.30 to 0.49 ms
+#: alone and 0.66 to 1.07 ms two at once, at every width on a 2-core Xeon, against
+#: 0.6 to 1.4 ms from limbs alone.
 SEED_BLOCKS = 1 << 10
 
 
 def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     """The kernel's tile tweak for blocks first_index, first_index+1, ...; the key for all if not tweaking.
 
-    ``tile(start, stop, out)`` writes the tile's 4 tweak columns into out, a
-    (4, stop - start) array of ``word_dtype(w)``.  Block i of the tile from
-    ``start`` gets base + i*step mod 2**(4w), with base the tweak of block
-    first_index+start and step = 2*T0 + 1.
+    ``tile(start, stop, out, prev, scratch)`` writes the tile's tweak words into
+    out, a (4, stop - start) array of ``word_dtype(w)``, with the 2 rows of
+    scratch, of its dtype and at least its length, as carries.  Block i of the
+    tile gets base + i*step mod 2**(4w), with base the tweak of block
+    first_index+start and step = 2*T0 + 1.  It keeps no state, so calls on
+    separate columns may run at once.
 
-    The first tile asked for is seeded from both: its first s = min(count,
-    ``SEED_BLOCKS``) blocks are split into limbs of b = min(w, 32) bits, and
-    the limb sums base_b + i*step_b are formed limb-major in uint64.  As
-    i < 2**10, i*step_b < 2**26 / 2**42 / 2**42 at w=16/32/64, and each limb
-    sum, with the carry it takes in from the limb below, stays below
-    2**27 / 2**43 / 2**43: one pass from the lowest limb up carries them all.
-    Reducing each limb to b bits then drops the carry out of the top one too,
-    the reduction mod 2**(4w).  A limb is a word, or at w=64 half of one.  The
-    rest of the tile is doubled from the seed: the columns [s, 2s) are the
-    columns [0, s) plus s*step, and so on until the tile is full.
-
-    Each later tile is the tile asked for before it advanced: block i of the
-    tile from ``start`` is block i of the one before plus (start - its
-    start)*step.  So the columns of the tile before must be unchanged when the
-    next is asked for, as ``_kernels.crypt_batch`` keeps them.  Doubling and
-    advancing are one add of a 4w-bit constant to 4 columns as words with carry
-    (``advance``), in two bool columns made with the seeded tile, so that a
-    later tile allocates no column.  A tile longer than the one before (a short
-    tile came first) is seeded too, so any order of requests gives the closed
-    form.  The function keeps state: it is not to be called from two threads
-    at once.
+    With prev None the tile is seeded: its first s = min(count, ``SEED_BLOCKS``)
+    blocks are limb sums (``sums``), and block k*s + i is block i plus k*s*step,
+    whose multiples are limb sums too, in one add over a grid of rows of s blocks
+    and one more for a part row.  Otherwise out holds the tile from ``prev``, at
+    least as long, and is advanced in place by (start - prev)*step.
     """
     tweak_at(tweak_key, first_index, w)  # refuses a bad key or index, also untweaked or with no blocks
     if not tweaking:
         return _tile_tweak(tweak_at(tweak_key, 0, w), 0, w)
     wm = (1 << (4 * w)) - 1
     step = (2 * tweak_key + 1) & wm
-    step_limbs = _limbs(step, w)
     bits = min(w, 32)
     dtype = word_dtype(w)
-    last = flags = None  # (start, columns) of the tile made last, and the carry flags
 
-    def advance(columns, blocks: int, out) -> None:
-        """Write the tweaks ``blocks`` blocks after the columns into out, of their shape."""
-        # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off
-        delta = np.array(int_to_block(blocks * step & wm, w), dtype)
-        np.add(columns, delta[:, None], out)
-        carry, over = flags[:, :out.shape[1]]
+    def sums(base: int, step: int, count: int) -> np.ndarray:
+        """base + i*step for i < count as 4 rows of words held in uint64; cast to the word
+        dtype, they are reduced mod 2**(4w).
+
+        The limb sums base_b + i*step_b of b = min(w, 32) bits are formed
+        limb-major.  As i < 2**10, i*step_b < 2**26 / 2**42 / 2**42 at
+        w=16/32/64, and each, with the carry it takes in from the limb below,
+        stays below 2**27 / 2**43 / 2**43: one pass from the lowest limb up
+        carries them all.  A limb is a word, or at w=64 half of one.
+        """
+        acc = _limbs(step, w) * np.arange(count, dtype=np.uint64)
+        acc += _limbs(base, w)
+        for lo, hi in zip(acc, acc[1:]):
+            hi += lo >> bits
+        if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
+            lo = acc[0::2]
+            lo &= 0xFFFFFFFF
+            acc = acc[1::2] << 32
+            acc |= lo
+        return acc
+
+    def add(columns, delta, out, carries) -> None:
+        """out = columns + delta, 4 rows of words as 4w-bit numbers, with 2 bool rows of carries."""
+        # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off.
+        # Row by row, as numpy copies the input of a 2-D add between column ranges of one array
+        for s, t, c in zip(out, columns, delta):
+            np.add(t, c, s)
+        carry, over = carries
         np.less(out[0], delta[0], carry)
         for s, c in zip(out[1:3], delta[1:3]):
             np.less(s, c, over)
@@ -112,29 +116,25 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
             carry |= over
         out[3] += carry
 
-    def tile(start: int, stop: int, out) -> None:
-        nonlocal last, flags
+    def tile(start: int, stop: int, out, prev, scratch) -> None:
         count = stop - start
-        if last is not None and count <= last[1].shape[1]:
-            advance(last[1][:, :count], start - last[0], out)
-        else:  # seeded
-            flags = np.empty((2, count), bool)
-            seed = min(count, SEED_BLOCKS)
-            acc = step_limbs * np.arange(seed, dtype=np.uint64)
-            acc += _limbs(odot(tweak_key, (first_index + start) & wm, 4 * w), w)
-            for lo, hi in zip(acc, acc[1:]):
-                hi += lo >> bits
-            if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
-                lo = acc[0::2]
-                lo &= 0xFFFFFFFF
-                acc = acc[1::2] << 32
-                acc |= lo
-            out[:, :seed] = acc
-            while seed < count:
-                more = min(seed, count - seed)
-                advance(out[:, :more], seed, out[:, seed:seed + more])
-                seed += more
-        last = start, out
+        carries = scratch.view(bool)[:, :count]  # not word rows: a full-tile advance is 10-20 % faster
+        if prev is not None:
+            add(out, np.array(int_to_block((start - prev) * step & wm, w), dtype), out, carries)
+            return
+        seed = min(count, SEED_BLOCKS)
+        out[:, :seed] = sums(odot(tweak_key, (first_index + start) & wm, 4 * w), step, seed)
+        if count == seed:
+            return
+        # one add for all rows, not one per doubling: seeds on two threads at once wait
+        # on each other for the interpreter lock at each numpy call
+        rows, part = divmod(count, seed)
+        multiples = sums(0, seed * step & wm, rows + 1).astype(dtype)[:, :, None]
+        grid = [word[:rows * seed].reshape(rows, seed) for word in out]
+        add([g[:1] for g in grid], multiples[:, 1:rows], [g[1:] for g in grid],
+            [c[:(rows - 1) * seed].reshape(rows - 1, seed) for c in carries])
+        if part:
+            add(out[:, :part], multiples[:, rows], out[:, rows * seed:], carries[:, :part])
 
     return tile
 

@@ -34,13 +34,16 @@ def lift(word):
 
 def tile_tweak_rows(tweak_key, first_index, count, w):
     """The tweaks of ``count`` blocks from ``first_index`` as (count, 4) rows, made tile by
-    tile from ``tweakstream._tile_tweaks`` the way ``_kernels.crypt_batch`` asks for them."""
+    tile from ``tweakstream._tile_tweaks`` the way one worker of ``_kernels.crypt_batch``
+    asks for them: the first seeded, each later one advanced in place from the one before."""
     tile = _tile_tweaks(tweak_key, first_index, w, True)
-    rows = [np.empty((0, 4), dtype=word_dtype(w))]
     length = tile_blocks(w)
+    space = np.empty((6, min(length, count)), dtype=word_dtype(w))
+    rows, prev = [np.empty((0, 4), dtype=word_dtype(w))], None
     for start in range(0, count, length):
         stop = min(start + length, count)
-        columns = np.empty((4, stop - start), dtype=word_dtype(w))
-        tile(start, stop, columns)
-        rows.append(columns.T)
+        columns = space[2:, :stop - start]
+        tile(start, stop, columns, prev, space[:2, :stop - start])
+        rows.append(columns.T.copy())
+        prev = start
     return np.concatenate(rows)

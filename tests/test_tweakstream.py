@@ -1,7 +1,10 @@
 """Tweak derivation and multi-block encryption."""
 
 import hashlib
+import itertools
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -99,25 +102,57 @@ def test_advanced_tiles_equal_the_closed_form(w, rng):
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
-def test_tiles_in_any_order_equal_fresh_tiles(w, rng):
-    # the tile function keeps no order: requested out of order, short last tile
-    # first or in between, each tile equals the one a fresh tile function makes
-    # first (seeded from limbs), and the tweaks of its ends
+def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
+    # the tile function keeps no state: columns that hold tile p, advanced in place
+    # to any later tile k, equal tile k seeded afresh and the tweaks of its ends.  The
+    # pairs include tiles that are not adjacent (a worker's tiles, when another took
+    # the ones between) and the short last tile advanced from a full one.  Scratch rows
+    # all ones show that no carry is read before it is written
     top = 1 << (4 * w)
     length = tile_blocks(w)
     count = 3 * length + 77
     spans = [(start, min(start + length, count)) for start in range(0, count, length)]
+    dtype = word_dtype(w)
     for t0, first in ((top - 1, top - 5), (rng.randrange(top), rng.randrange(top))):
-        for order in ((2, 0, 3, 1), (3, 1, 0, 2)):
-            tile = _tile_tweaks(t0, first, w, True)
-            for k in order:
+        tile = _tile_tweaks(t0, first, w, True)
+
+        def ends_match(columns, start, stop):
+            return all(tuple(int(c[j - start]) for c in columns) == tweak_at(t0, (first + j) % top, w)
+                       for j in (start, stop - 1))
+
+        fresh = []
+        for start, stop in spans:
+            space = np.full((6, stop - start), np.iinfo(dtype).max, dtype)
+            tile(start, stop, space[2:], None, space[:2])
+            assert ends_match(space[2:], start, stop), start
+            fresh.append(space[2:])
+        for p, k in itertools.combinations(range(len(spans)), 2):
+            (prev, _), (start, stop) = spans[p], spans[k]
+            space = np.full((6, length), np.iinfo(dtype).max, dtype)
+            space[2:] = fresh[p]
+            columns = space[2:, :stop - start]
+            tile(start, stop, columns, prev, space[:2, :stop - start])
+            assert np.array_equal(columns, fresh[k]) and ends_match(columns, start, stop), (p, k)
+
+        # one tile function on two threads at once, each seeding its first tile and
+        # advancing it through every other tile in its own columns, as two workers do
+        got = [None] * len(spans)
+        barrier = threading.Barrier(2, timeout=60)
+
+        def worker(ks):
+            space, prev = np.empty((6, length), dtype), None
+            barrier.wait()
+            for k in ks:
                 start, stop = spans[k]
-                got, fresh = np.empty((2, 4, stop - start), dtype=word_dtype(w))
-                tile(start, stop, got)
-                _tile_tweaks(t0, first, w, True)(start, stop, fresh)
-                assert np.array_equal(got, fresh)
-                for j in (start, stop - 1):
-                    assert tuple(int(c[j - start]) for c in got) == tweak_at(t0, (first + j) % top, w)
+                tile(start, stop, space[2:, :stop - start], prev, space[:2, :stop - start])
+                got[k] = space[2:, :stop - start].copy()
+                prev = start
+
+        with ThreadPoolExecutor(2) as pool:
+            for done in [pool.submit(worker, (0, 2)), pool.submit(worker, (1, 3))]:
+                done.result(timeout=60)
+        for k in range(len(spans)):
+            assert np.array_equal(got[k], fresh[k]), k
 
 
 # SHA-256 of the tweaked container of a seeded payload of 2 * 2**15 + 99 blocks
