@@ -5,11 +5,10 @@ with an affine G-box where ``cipher.crypt`` calls ``gbox``.  ``crypt_words``
 runs it on one block of Python ints, masked to w bits; ``crypt_batch`` runs
 it on many, as columns of the dtype ``cipher.word_dtype``, which wraps at w
 bits, all the reduction mod 2**w the cipher needs, one tile at a time
-(``crypt_tile``, ``icrypt_tile``).  Decryption is the same loop on reordered
-words: the word order reversed (R) and each word's halves swapped (S), as
-``icrypt_words`` runs it on one block.
-
-The tiles decrypt without rotating a column in or out.  S is linear over XOR,
+(``crypt_tile``, ``icrypt_tile``).  Each takes the schedule and reads from it
+the form it runs on.  Decryption, under an inverse schedule, is the same loop
+on reordered words, in both engines: the word order reversed (R) and each
+word's halves swapped (S), the tweak words too.  S is linear over XOR,
 S(a) ^ S(b) = S(a ^ b), and its own inverse.  So the registers can hold S of
 the reordered words, which is R(y) itself: where the reordered loop XORs g or
 x0 into a register, these registers take S(g) or S(x0), and ``round_update``
@@ -20,9 +19,9 @@ G(x) = S(A1(S(A0(x)) ^ S(t[3 - k % 4]))), as its tweak words are S(R(t)), so
     S(G(S(x))) = A1(S(A0(S(x))) ^ S(t[3 - k % 4])) = A1(S(A0(S(x)) ^ t[3 - k % 4])):
 
 the steps of encryption's G in another order (rotate, multiply-add, XOR the
-tweak word, rotate, multiply-add; ``_igbox_into``), on the tweak words
-reversed and never rotated.  At the end the registers hold S of the reordered
-result, so the plaintext is the registers in reverse order.
+tweak word, rotate, multiply-add; ``affine_igbox``, ``_igbox_into``), on the
+tweak words reversed and never rotated.  At the end the registers hold S of
+the reordered result, so the plaintext is the registers in reverse order.
 
 A tile holds ``TILE_BYTES`` per word column, ``tile_blocks(w)`` blocks.  The
 tweak of block j depends on j alone, so tiles are independent, and a call of
@@ -101,26 +100,28 @@ def affine_gbox(x, t, m0, m1, n0, n1, h, mask):
     return (x << h | x >> h) & mask
 
 
-def crypt_words(x, t, m, n, w: int) -> tuple[int, ...]:
+def affine_igbox(x, t, m0, m1, n0, n1, h, mask):
+    """S(G(S(x))), G being ``affine_gbox`` under the tweak word S(t) and S the half-word rotation,
+    as the module docstring derives; its rotations, like ``affine_gbox``'s first, are not masked."""
+    x = ((x << h | x >> h) * m0 + n0) & mask ^ t
+    return ((x << h | x >> h) * m1 + n1) & mask
+
+
+def crypt_words(x, t, schedule, gbox=affine_gbox) -> tuple[int, ...]:
     """The 32-round transform of the 4 int words x under the 4 int tweak words t."""
+    m, n, w = schedule.m, schedule.n, schedule.width
     h, mask = w >> 1, (1 << w) - 1
     x0, x1, x2, x3 = x
     for k in range(32):
-        g = affine_gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h, mask)
+        g = gbox(x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h, mask)
         x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
     return x0, x1, x2, x3
 
 
-def _reordered(words, w: int) -> tuple[int, ...]:
-    """The int words in reverse order with their halves swapped."""
-    h, mask = w >> 1, (1 << w) - 1
-    return tuple([(x << h | x >> h) & mask for x in reversed(words)])
-
-
-def icrypt_words(y, t, m, n, w: int) -> tuple[int, ...]:
-    """``crypt_words`` inverted, for an inverse schedule: the words reversed with halves
-    swapped are encrypted, and the result, reordered alike, is the plaintext."""
-    return _reordered(crypt_words(_reordered(y, w), _reordered(t, w), m, n, w), w)
+def icrypt_words(y, t, schedule) -> tuple[int, ...]:
+    """``crypt_words`` inverted, for an inverse schedule, on the words and tweak words
+    reversed with ``affine_igbox`` as G; the result reversed is the plaintext."""
+    return crypt_words(y[::-1], t[::-1], schedule, affine_igbox)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def icrypt_words(y, t, m, n, w: int) -> tuple[int, ...]:
 # arrays: numpy takes a 0-d operand faster than a scalar, about 0.9 against
 # 1.4 us for an in-place op on 16 blocks, and 8 of the 12 ops of a round have
 # one.  The schedule makes its 128 once (``AffineSchedule.operands``), so
-# ``crypt_batch`` builds only h per call; they are read-only, and only read.
+# ``_rounds`` builds only h per tile; they are read-only, and only read.
 
 
 def _gbox_into(g, r, x, t, m0, m1, n0, n1, h):
@@ -168,13 +169,15 @@ def _igbox_into(g, r, x, t, m0, m1, n0, n1, h):
     return g
 
 
-def _rounds(work, t, m, n, h, gbox) -> list:
+def _rounds(work, t, schedule, gbox) -> list:
     """The 32 rounds on the registers work[:4] with the G ``gbox`` (``_gbox_into`` or
-    ``_igbox_into``); work[4] takes the first G output, work[5] is scratch.
+    ``_igbox_into``) and the schedule's operands; work[4] takes the first G output, work[5] is scratch.
 
     Each G writes into the column of the register the round before dropped: a
     type-B round reads x0 in ``round_update``, and only the next G overwrites it.
     """
+    m, n = schedule.operands
+    h = np.array(schedule.width >> 1, work.dtype)
     x0, x1, x2, x3, free, r = work
     t = list(t)  # rows of an array would be made anew on each index
     for k in range(32):
@@ -184,51 +187,45 @@ def _rounds(work, t, m, n, h, gbox) -> list:
     return [x0, x1, x2, x3]
 
 
-def crypt_tile(x, y, work, t, m, n, h) -> None:
+def crypt_tile(x, y, work, t, schedule) -> None:
     """Encrypt the block rows x into the rows y under the tweak words t.
 
     work is a (6, len(x)) array of the word dtype, the columns of ``_rounds``.
     """
     np.copyto(work[:4], x.T)
-    np.stack(_rounds(work, t, m, n, h, _gbox_into), axis=1, out=y)
+    np.stack(_rounds(work, t, schedule, _gbox_into), axis=1, out=y)
 
 
-def icrypt_tile(y, x, work, t, m, n, h) -> None:
-    """``crypt_tile`` inverted, for an inverse schedule, as ``icrypt_words``, on registers
-    that hold the reordered words' halves swapped back: the words reversed.
-
-    The G of ``_igbox_into`` keeps them so (the module docstring has the
-    argument), so no word is rotated in or out and no tweak word is written.
-    """
+def icrypt_tile(y, x, work, t, schedule) -> None:
+    """``crypt_tile`` inverted, for an inverse schedule, as ``icrypt_words``: on the words and
+    tweak words reversed with ``_igbox_into`` as G, so no tweak word is written."""
     np.copyto(work[:4], y.T[::-1])
-    np.stack(_rounds(work, t[::-1], m, n, h, _igbox_into)[::-1], axis=1, out=x)
+    np.stack(_rounds(work, t[::-1], schedule, _igbox_into)[::-1], axis=1, out=x)
 
 
-def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
+def crypt_batch(x, tweak, schedule, words=crypt_tile) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype; x is never written.
 
-    m and n are read-only 0-d arrays of the word dtype, made once per schedule
-    (``AffineSchedule.operands``).  ``tweak(start, stop, out, prev, scratch)``
-    writes the 4 tweak words of blocks start..stop-1 into out, a
-    (4, stop - start) array of the word dtype: the tweak columns of the worker
-    that took the tile, which hold those of its tile from prev, an earlier and
-    no shorter one, or None at its first.  scratch is the 2 rows that ``words``
-    uses as G output and rotation scratch, idle between tiles.  ``words(x, y,
-    work, t, m, n, h)`` writes the tile x into the output rows y under those
-    columns t, which it must not write, with work and h as ``crypt_tile``
-    takes them.
+    ``tweak(start, stop, out, prev, scratch)`` writes the 4 tweak words of
+    blocks start..stop-1 into out, a (4, stop - start) array of the word dtype:
+    the tweak columns of the worker that took the tile, which hold those of its
+    tile from prev, an earlier and no shorter one, or None at its first.
+    scratch is the 2 rows that ``words`` uses as G output and rotation scratch,
+    idle between tiles.  ``words(x, y, work, t, schedule)`` writes the tile x
+    into the output rows y under those columns t, which it must not write,
+    with work as ``crypt_tile`` takes it, and reads from the schedule the form
+    of its words that it runs on.
 
     The tiles run on ``worker_count`` threads; an exception in any of them stops
     the others at their next tile and is raised here once all have stopped.
     """
     nblocks = x.shape[0]
     y = np.empty(x.shape, dtype=x.dtype)
-    length = tile_blocks(w)
+    length = tile_blocks(schedule.width)
     starts = iter(range(0, nblocks, length))
     workers = worker_count(-(-nblocks // length))
     if not workers:
         return y
-    h = np.array(w >> 1, dtype=x.dtype)
     lock = threading.Lock()
     failed = []
 
@@ -244,7 +241,7 @@ def crypt_batch(x, tweak, m, n, w: int, words=crypt_tile) -> np.ndarray:
                 stop = min(start + length, nblocks)
                 columns, t = space[:6, :stop - start], space[6:, :stop - start]
                 tweak(start, stop, t, prev, columns[4:])
-                words(x[start:stop], y[start:stop], columns, t, m, n, h)
+                words(x[start:stop], y[start:stop], columns, t, schedule)
                 prev = start
         except BaseException as exc:  # re-raised by the calling thread
             failed.append(exc)

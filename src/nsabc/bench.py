@@ -149,15 +149,15 @@ def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     work, t = np.empty((6, length), dtype), np.empty((4, length), dtype)
     scratch, tile = work[4:], _tile_tweaks(tweak_key, 0, w, True)
     x = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
-    y, h = np.empty_like(x), np.array(w >> 1, dtype)
+    y = np.empty_like(x)
     return [
         SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
         SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
         SetupResult("tweak_first_tile", w,
                     *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, length, t, None, scratch), seconds, 1)),
         SetupResult("tweak_advanced_tile", w, *_measure(lambda: tile(length, 2 * length, t, 0, scratch), seconds, 1)),
-        SetupResult("tile_encrypt", w, *_measure(lambda: crypt_tile(x, y, work, t, *schedule.operands, h), seconds, 1)),
-        SetupResult("tile_decrypt", w, *_measure(lambda: icrypt_tile(x, y, work, t, *inverse.operands, h), seconds, 1)),
+        SetupResult("tile_encrypt", w, *_measure(lambda: crypt_tile(x, y, work, t, schedule), seconds, 1)),
+        SetupResult("tile_decrypt", w, *_measure(lambda: icrypt_tile(x, y, work, t, inverse), seconds, 1)),
     ]
 
 

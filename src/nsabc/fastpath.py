@@ -7,21 +7,22 @@ affine map ``m*x + n`` with ``m = 2(z-e)+1`` (always odd) and
 (m, n) pairs turns every G-box evaluation into two multiply-adds plus the
 swaps and the tweak XOR.
 
-The 32-round register loop lives in ``_kernels``.  The scalar functions here
-hand one checked block of Python ints and the schedule's int words m and n to
-``_kernels.crypt_words`` / ``icrypt_words``, which mask to w bits; the batch
-functions hand their checked blocks to ``_kernels.crypt_batch``, which runs
-them tile by tile on words of ``cipher.word_dtype``, whose wrap at w bits is
-the cipher's reduction, and has each tile's tweak words written into the
-tile's own columns as it goes, copied from checked tweak rows or from one
-checked tweak (``tweakstream`` derives its tweaks into them itself).
+The 32-round register loop lives in ``_kernels``.  Every entry point here
+hands it checked blocks and the schedule, from which it reads the form it
+runs on.  The scalar functions call ``_kernels.crypt_words`` /
+``icrypt_words``, which run one block of Python ints on the int words m and
+n; the batch functions call ``_kernels.crypt_batch``, which runs their
+blocks tile by tile on words of ``cipher.word_dtype`` and has each tile's
+tweak words written into the tile's own columns as it goes, copied from
+checked tweak rows or from one checked tweak (``tweakstream`` derives its
+tweaks into them itself).
 
 An ``AffineSchedule`` holds its m and n as tuples of ints and once more as
-read-only arrays of that dtype, from which it makes, once, the batch
-kernel's 0-d operands (``operands``).  ``affine_expand`` and
-``invert_affine`` derive those arrays with word-dtype arithmetic, whose wrap
-does every reduction; their words are not scanned again, while a schedule
-built by hand is checked word by word.
+read-only arrays of that dtype, from which the numpy tiles have it make their
+0-d operands once (``operands``).  ``affine_expand`` and ``invert_affine``
+derive those arrays with word-dtype arithmetic, whose wrap does every
+reduction; their words are not scanned again, while a schedule built by
+hand is checked word by word.
 Key and unit key are validated by the schedule expansions they feed.
 """
 
@@ -88,7 +89,7 @@ class AffineSchedule:
 
     @cached_property
     def operands(self) -> tuple[list, list]:
-        """m and n as read-only 0-d arrays of the word dtype, the operands of ``crypt_batch``."""
+        """m and n as read-only 0-d arrays of the word dtype, the operands of the numpy tiles."""
         return tuple([a[i, ...] for i in range(64)] for a in self.arrays)
 
 
@@ -109,7 +110,7 @@ def crypt_fast(block, tweak, schedule: AffineSchedule):
     """Optimized-path equivalent of the reference 32-round transform."""
     w = schedule.width
     x, t = check_block(block, w), check_tweak(tweak, w)
-    return _kernels.crypt_words(x, t, schedule.m, schedule.n, w)
+    return _kernels.crypt_words(x, t, schedule)
 
 
 def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
@@ -126,14 +127,14 @@ def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
 
 
 def icrypt_fast(block, tweak, inverse_schedule: AffineSchedule):
-    """Decrypt via the forward fast path on reordered inputs (``_kernels.icrypt_words``).
+    """Decrypt with the fast register loop on the words reversed (``_kernels.icrypt_words``).
 
     ``inverse_schedule`` must come from ``invert_affine`` of the schedule the
     block was encrypted under.
     """
     w = inverse_schedule.width
     y, t = check_block(block, w), check_tweak(tweak, w)
-    return _kernels.icrypt_words(y, t, inverse_schedule.m, inverse_schedule.n, w)
+    return _kernels.icrypt_words(y, t, inverse_schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
     """
     w = schedule.width
     x = _as_block_array(blocks, w)
-    return _kernels.crypt_batch(x, _tile_tweak(tweaks, x.shape[0], w), *schedule.operands, w)
+    return _kernels.crypt_batch(x, _tile_tweak(tweaks, x.shape[0], w), schedule)
 
 
 def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
@@ -196,4 +197,4 @@ def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.nd
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
     tweak = _tile_tweak(tweaks, y.shape[0], w)
-    return _kernels.crypt_batch(y, tweak, *inverse_schedule.operands, w, _kernels.icrypt_tile)
+    return _kernels.crypt_batch(y, tweak, inverse_schedule, _kernels.icrypt_tile)

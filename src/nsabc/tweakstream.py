@@ -144,7 +144,7 @@ def _crypt_blocks(words, schedule, blocks, tweak_key: int, first_index: int, twe
     w = schedule.width
     as_array = isinstance(blocks, np.ndarray)
     xs = _as_block_array(blocks if as_array else list(blocks), w)
-    out = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), *schedule.operands, w, words)
+    out = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), schedule, words)
     return out if as_array else [tuple(row) for row in out.tolist()]
 
 

@@ -19,13 +19,14 @@ from nsabc._kernels import (
     _gbox_into,
     _igbox_into,
     affine_gbox,
+    affine_igbox,
     crypt_batch,
     crypt_tile,
     icrypt_tile,
     resolve_backend,
     tile_blocks,
 )
-from nsabc.cipher import crypt, decrypt, gbox, word_dtype
+from nsabc.cipher import crypt, decrypt, gbox, round_update, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
     affine_expand,
@@ -143,8 +144,8 @@ def test_affine_expand_matches_the_word_formula(w, rng):
 
 
 def test_schedule_operands_are_made_once(monkeypatch, rng):
-    # derived words are not checked again, and the kernel hands the loop the
-    # schedule's own 0-d operands on every call instead of lifting m and n anew
+    # derived words are not checked again, and the kernel hands every tile the
+    # schedule, whose 0-d operands the tiles make once and then reuse
     def scan_again(self):
         raise AssertionError("a derived schedule was scanned again")
 
@@ -156,18 +157,51 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
     monkeypatch.undo()
     seen = []
 
-    def words(x, y, work, tw, m, n, h):
-        seen.append((m, n))
-        crypt_tile(x, y, work, tw, m, n, h)
+    def words(x, y, work, tw, schedule):
+        crypt_tile(x, y, work, tw, schedule)
+        seen.append((schedule, schedule.operands))
 
     xs = random_block_array(rng, 2 * tile_blocks(w) + 1, w)
     tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
     for _ in range(2):
-        out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns),
-                          *s.operands, w, words)
+        out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns), s, words)
         assert np.array_equal(out, crypt_fast_batch(xs, t, s))
-    assert len(seen) == 6 and all(m is s.operands[0] and n is s.operands[1] for m, n in seen)
+    assert len(seen) == 6 and all(schedule is s for schedule, _ in seen)
+    assert all([int(v) for v in (*m, *n)] == [*s.m, *s.n] for _, (m, n) in seen)
+    # cached_property takes no lock from Python 3.12 on, so the two workers of the first
+    # call may each make them once; from the second call on every tile reuses the kept ones
+    assert all(operands is s.operands for _, operands in seen[3:])
     assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
+
+
+def test_only_the_numpy_tiles_make_operands(rng):
+    # the kernel hands each tile the schedule itself, from which the tile reads the form
+    # it runs on: a tile that reads only ``arrays``, as a compiled one would, and the int
+    # loop in both directions leave the schedule without the numpy tiles' operands
+    w = 32
+    _, z, t, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    handed = []
+
+    def words(x, y, work, tw, schedule):
+        handed.append(schedule)
+        m, n = schedule.arrays
+        regs = list(x.T.copy())
+        for k in range(32):
+            g = affine_gbox(regs[0], tw[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], w >> 1, (1 << w) - 1)
+            regs = list(round_update(*regs, g, k))
+        np.stack(regs, axis=1, out=y)
+
+    count = tile_blocks(w) + 3
+    xs = random_block_array(rng, count, w)
+    tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
+    out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns), s, words)
+    assert len(handed) == 2 and all(schedule is s for schedule in handed)
+    for i in tile_edge_rows(rng, count, w):
+        assert crypt_fast(xs[i].tolist(), t, s) == tuple(out[i].tolist()), i
+        assert icrypt_fast(out[i].tolist(), t, inv) == tuple(xs[i].tolist()), i
+    assert "operands" not in vars(s) and "operands" not in vars(inv)
 
 
 def test_affine_gbox_identity_and_reference_value():
@@ -204,11 +238,13 @@ def test_affine_gbox_equals_gbox(w):
     assert np.array_equal(_gbox_into(g, r, xcol, tcol, *consts), gbox(xs, *keys, cs, w))
     assert np.array_equal(_igbox_into(g, r, xcol, tcol, *consts),
                           swap_halves(gbox(swap_halves(xs, w), *keys, swap_halves(cs, w), w), w))
-    # spot checks of the same correspondence on int words
+    # spot checks of the same correspondences on int words
     sr = random.Random(w)
     for _ in range(50):
         x = sr.randrange(1 << w)
         assert affine_gbox(x, c0, m0, m1, n0, n1, *shift_and_mask(w)) == gbox(x, k0, k1, l0, l1, c0, w)
+        assert affine_igbox(x, c0, m0, m1, n0, n1, *shift_and_mask(w)) == \
+            swap_halves(gbox(swap_halves(x, w), k0, k1, l0, l1, swap_halves(c0, w), w), w)
 
 
 def test_affine_schedule_validation():
@@ -599,7 +635,7 @@ def test_failing_tile_function_stops_every_thread(rng, monkeypatch, started):
         return out
 
     with pytest.raises(RuntimeError) as raised:
-        crypt_batch(xs, tweak, *s.operands, w)
+        crypt_batch(xs, tweak, s)
     assert raised.value is boom
     # the workers take tiles 0 and 1 in order, under the lock, but ask for their tweaks
     # outside it, so either may ask first
@@ -705,21 +741,21 @@ def test_decrypt_reorder_writes_no_tweak(w, rng):
         np.copyto(out, columns[:, start:stop])
         out.flags.writeable = False
 
-    out = crypt_batch(ya, read_only, *inv.operands, w, icrypt_tile)
+    out = crypt_batch(ya, read_only, inv, icrypt_tile)
     rows = tile_edge_rows(rng, count, w)
     for i in rows:
         assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
     seen = []
 
-    def words(y, x, work, tw, m, n, h):
+    def words(y, x, work, tw, schedule):
         kept = tw.copy()
-        icrypt_tile(y, x, work, tw, m, n, h)
+        icrypt_tile(y, x, work, tw, schedule)
         seen.append(np.array_equal(tw, kept) and tw.flags.writeable)
 
     def writable(start, stop, tw, prev, scratch):
         np.copyto(tw, columns[:, start:stop])
 
-    assert np.array_equal(crypt_batch(ya, writable, *inv.operands, w, words), out)
+    assert np.array_equal(crypt_batch(ya, writable, inv, words), out)
     assert seen == [True] * 3
     single = np.array(t, dtype=word_dtype(w))
     single.setflags(write=False)

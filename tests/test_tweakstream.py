@@ -63,22 +63,25 @@ def test_closed_form_equals_recurrence(w, rng):
         sample = [0, count - 1, *range(length - 3, length + 3), *(rng.randrange(count) for _ in range(50))]
         for j in sample:
             assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w)
-    # first tiles seeded from SEED_BLOCKS blocks of limbs and doubled, at every
-    # seed and doubling edge.  Key 0 from top - SEED_BLOCKS - 1 makes block
-    # SEED_BLOCKS + 1 the first doubling's sum (top - SEED_BLOCKS) + SEED_BLOCKS,
-    # whose carry crosses all 4 words; with key top - 1 the step is all ones, so
-    # adding s*step wraps every word at each doubling
+    # first tiles: limb sums of their first s = SEED_BLOCKS blocks, then one add over
+    # a grid of rows of s blocks, row k being row 0 plus k*s*step, and one more for a
+    # part row.  Short tiles are compared in full; in a full tile and in one 3 blocks
+    # short of it, whose part row starts s blocks before its end, every row edge is
+    # sampled.  Key 0 from top - s - 1 makes block s + 1 the sum (top - s) + s of
+    # row 1, whose carry crosses all 4 words; with key top - 1 the step is all ones,
+    # so adding k*s*step wraps every word of each row
     seed = SEED_BLOCKS
     for t0, first in ((0, top - seed - 1), (top - 1, top - seed - 1), (top - 1, 0),
                       (rng.randrange(top), rng.randrange(top))):
         for count in (1, seed - 1, seed, seed + 1, 2 * seed, 2 * seed + 1, 3 * seed + 5):
             expected = [tweak_at(t0, (first + j) % top, w) for j in range(count)]
             assert np.array_equal(tile_tweak_rows(t0, first, count, w), np.array(expected, dtype=np.uint64))
-        rows = tile_tweak_rows(t0, first, length, w)
-        edges = [seed << k for k in range(length.bit_length()) if seed << k < length]
-        sample = {length - 1, *(j for e in edges for j in range(e - 2, e + 3)), *(rng.randrange(length) for _ in range(20))}
-        for j in sorted(sample):
-            assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w), (t0, first, j)
+        for count in (length, length - 3):
+            rows = tile_tweak_rows(t0, first, count, w)
+            sample = {count - 1, *(j for e in range(seed, count, seed) for j in range(e - 2, min(e + 3, count))),
+                      *(rng.randrange(count) for _ in range(20))}
+            for j in sorted(sample):
+                assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w), (t0, first, count, j)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
