@@ -8,6 +8,9 @@
     nsabc bench [--seconds S] [--width W]
     nsabc analyze {gbox-bijectivity,gbox-diffusion,gbox-identity,avalanche} [options]
 
+Files are streamed a few tiles of blocks at a time, so memory does not grow
+with their size; --in and --out must name different files.
+
 Key material is given as high-first hex strings of exactly 5w (key), 4w
 (tweak key) and w (unit key) bits, either via the flags or the environment
 variables NSABC_KEY, NSABC_TWEAK_KEY and NSABC_UNIT_KEY.  Keys are never
@@ -20,12 +23,14 @@ Exit codes: 0 success, 2 usage error, 3 container format error, 4 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import string
 import sys
 
 from . import analysis, bench
-from .container import ContainerFormatError, decrypt_bytes, encrypt_bytes, parse_header
+from .container import ContainerFormatError, decrypt_stream, encrypt_stream, read_header
 from .kat import KAT_VECTORS, render_trace, standard_trace, trace_matches_reference
 from .schedules import KEY_WORDS
 from .words import CIPHER_WIDTHS, split_words
@@ -77,39 +82,62 @@ def _key_material(args, w: int):
     return split_words(z, KEY_WORDS, w), t0, u
 
 
-def _read_file(path: str) -> bytes:
+def _open_input(path: str):
+    """The regular file at path, opened for reading, and its size: a container's header
+    holds the plaintext length, so a pipe cannot be streamed."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fh = open(path, "rb")
     except OSError as ex:
         raise OSError(f"cannot read {path}: {ex}") from ex
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        fh.close()
+        raise UsageError(f"--in must name a regular file, not {path}")
+    return fh, st.st_size
 
 
-def _write_file(path: str, data: bytes) -> None:
+def _write_output(src, path: str, write) -> None:
+    """Create the file at path and fill it with write(fh); a failed write leaves no file.
+
+    The output may not be the input file src, which opening it for writing would empty.
+    """
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        same = os.path.samestat(os.fstat(src.fileno()), os.stat(path))
+    except OSError:  # no such file yet, or one that opening it reports
+        same = False
+    if same:
+        raise UsageError("--in and --out name the same file")
+    try:
+        fh = open(path, "wb")
     except OSError as ex:
         raise OSError(f"cannot write {path}: {ex}") from ex
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
 
 
 def cmd_encrypt(args) -> int:
     w = args.width
     z, t0, u = _key_material(args, w)
-    plain = _read_file(args.infile)
-    blob = encrypt_bytes(plain, z, t0, u, w, tweaking=not args.no_tweak)
-    _write_file(args.outfile, blob)
+    src, length = _open_input(args.infile)
+    with src:
+        _write_output(src, args.outfile, lambda dst: encrypt_stream(
+            src, dst, length, z, t0, u, w, tweaking=not args.no_tweak))
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
-    blob = _read_file(args.infile)
-    header = parse_header(blob)
-    if args.width is not None and args.width != header.width:
-        raise UsageError(f"--width {args.width} conflicts with container width {header.width}")
-    z, t0, u = _key_material(args, header.width)
-    plain = decrypt_bytes(blob, z, t0, u)
-    _write_file(args.outfile, plain)
+    src, size = _open_input(args.infile)
+    with src:
+        header = read_header(src, size)
+        if args.width is not None and args.width != header.width:
+            raise UsageError(f"--width {args.width} conflicts with container width {header.width}")
+        z, t0, u = _key_material(args, header.width)
+        _write_output(src, args.outfile, lambda dst: decrypt_stream(src, dst, header, z, t0, u))
     return EXIT_OK
 
 

@@ -139,33 +139,36 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
     return tile
 
 
-def _crypt_blocks(words, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool):
-    """The kernel's ``words`` over the checked blocks and their tweaks; a list back for a list."""
+def _crypt_blocks(words, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool, out):
+    """The kernel's ``words`` over the checked blocks and their tweaks, written into out,
+    or into a fresh array if it is None; a list back for a list."""
     w = schedule.width
     as_array = isinstance(blocks, np.ndarray)
     xs = _as_block_array(blocks if as_array else list(blocks), w)
-    out = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), schedule, words)
-    return out if as_array else [tuple(row) for row in out.tolist()]
+    ys = crypt_batch(xs, _tile_tweaks(tweak_key, first_index, w, tweaking), schedule, words, out)
+    return ys if as_array else [tuple(row) for row in ys.tolist()]
 
 
 def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
-                   tweaking: bool = True, first_index: int = 0):
+                   tweaking: bool = True, first_index: int = 0, out=None):
     """Encrypt a sequence of blocks; block j uses the tweak T0 odot (first_index+j).
 
     Key, unit and affine schedules are computed once and reused for the whole
     sequence.  With ``tweaking=False`` every block uses the tweak key as a
     constant tweak.  Accepts a list of 4-word tuples or an (n, 4) array and
-    returns the same kind.
+    returns the same kind.  The words are written into ``out``, a writable
+    (n, 4) array of ``word_dtype(w)`` that may be the block array itself, or
+    by default into a fresh one; anything else in ``out`` raises ValueError.
     """
     schedule = affine_expand(key, unit_key, w)
-    return _crypt_blocks(crypt_tile, schedule, blocks, tweak_key, first_index, tweaking)
+    return _crypt_blocks(crypt_tile, schedule, blocks, tweak_key, first_index, tweaking, out)
 
 
 def decrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
-                   tweaking: bool = True, first_index: int = 0):
-    """Invert ``encrypt_blocks``; ``first_index`` gives random access to any slice."""
+                   tweaking: bool = True, first_index: int = 0, out=None):
+    """Invert ``encrypt_blocks``, into ``out`` as it does; ``first_index`` gives random access to any slice."""
     inverse = invert_affine(affine_expand(key, unit_key, w))
-    return _crypt_blocks(icrypt_tile, inverse, blocks, tweak_key, first_index, tweaking)
+    return _crypt_blocks(icrypt_tile, inverse, blocks, tweak_key, first_index, tweaking, out)
 
 
 def encrypt_block_at(block, key, tweak_key: int, unit_key: int, index: int, w: int):

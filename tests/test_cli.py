@@ -1,9 +1,16 @@
 """Command line interface: commands, key handling, exit codes."""
 
+import hashlib
+import os
+import random
+import tracemalloc
+
 import pytest
 
 import nsabc.bench
+import nsabc.container
 import nsabc.kat
+from nsabc import _kernels
 from nsabc.cipher import int_to_block
 from nsabc.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from nsabc.fastpath import affine_expand, invert_affine
@@ -113,6 +120,73 @@ def test_format_errors(tmp_path):
     assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(ct)) == EXIT_OK
     ct.write_bytes(ct.read_bytes()[:-3])
     assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(out)) == EXIT_FORMAT
+
+
+def test_file_round_trip_memory_does_not_grow_with_the_file(tmp_path):
+    # the files are streamed a few tiles at a time through one chunk buffer: a round
+    # trip of a 64 MiB file stays under 16 MiB traced, the kernel's workspaces included
+    src, ct, back = tmp_path / "big.bin", tmp_path / "big.nsabc", tmp_path / "back.bin"
+    seeded, digest = random.Random(64), hashlib.sha256()
+    with open(src, "wb") as fh:
+        for piece in map(seeded.randbytes, [1 << 20] * 64 + [5]):
+            digest.update(piece)
+            fh.write(piece)
+    tracemalloc.start()
+    try:
+        assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(ct)) == EXIT_OK
+        assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(back)) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert ct.stat().st_size == 24 + (64 << 20) + 8
+    digest_back = hashlib.sha256()
+    with open(back, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            digest_back.update(piece)
+    assert digest_back.digest() == digest.digest()
+
+
+def test_in_and_out_must_differ(tmp_path):
+    # opening the output would empty the input it streams from
+    src, ct = tmp_path / "p", tmp_path / "c"
+    src.write_bytes(b"keep me")
+    assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(tmp_path / "." / "p")) \
+        == EXIT_USAGE
+    assert src.read_bytes() == b"keep me"
+    assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(ct)) == EXIT_OK
+    kept = ct.read_bytes()
+    assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(ct)) == EXIT_USAGE
+    assert ct.read_bytes() == kept
+
+
+def test_input_must_be_a_regular_file(tmp_path):
+    # the header holds the plaintext length, taken from the input's size before it is read
+    out = tmp_path / "c"
+    assert run("encrypt", "--width", "16", *key_args(), "--in", os.devnull, "--out", str(out)) == EXIT_USAGE
+    assert run("decrypt", *key_args(), "--in", os.devnull, "--out", str(out)) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_failed_stream_leaves_no_output(tmp_path, monkeypatch):
+    # a failure after the output was opened, here an error in the 2nd chunk's
+    # decryption, removes the partial output
+    monkeypatch.setattr(_kernels, "TILE_BYTES", 32)
+    src, ct, back = tmp_path / "p", tmp_path / "c", tmp_path / "b"
+    src.write_bytes(bytes(1000))
+    assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(ct)) == EXIT_OK
+    calls = []
+    decrypt_blocks = nsabc.container.decrypt_blocks
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # the key check, the 1st chunk, then the 2nd
+            raise OSError("read error")
+        return decrypt_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(nsabc.container, "decrypt_blocks", failing)
+    assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(back)) == EXIT_IO
+    assert len(calls) == 3 and not back.exists()
 
 
 def test_width_conflict_is_usage_error(tmp_path):

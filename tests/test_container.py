@@ -1,21 +1,30 @@
 """Container format: header fields, padding, rejection of malformed input."""
 
 import hashlib
+import io
 import random
+import tracemalloc
 from array import array
 
 import pytest
 
 from conftest import random_tuple
+from nsabc import _kernels
+from nsabc.cipher import word_dtype
+from nsabc.cli import EXIT_FORMAT, EXIT_OK, main
 from nsabc.container import (
     HEADER_LEN,
     MAGIC,
+    STREAM_TILES,
     ContainerFormatError,
     ContainerHeader,
     decrypt_bytes,
+    decrypt_stream,
     encrypt_bytes,
+    encrypt_stream,
     pack_header,
     parse_header,
+    read_header,
 )
 
 
@@ -146,3 +155,118 @@ def test_wrong_key_garbles_but_wrong_format_raises(rng):
     blob = encrypt_bytes(b"payload.payload!", z, t0, u, 16)
     z_bad = tuple(v ^ 1 for v in z)
     assert decrypt_bytes(blob, z_bad, t0, u) != b"payload.payload!"
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_call_memory_is_its_result_and_the_workspaces(w, rng):
+    # each call allocates one payload-sized buffer, the one it returns: beyond it an
+    # 8-tile call holds the kernel's workspaces and less than 512 KiB more (the limb
+    # seeds of the workers' first tiles), where a second payload-sized copy was 8 MiB
+    z, t0, u = keys(rng, w)
+    tiles = 8
+    payload = random.Random(w).randbytes(tiles * _kernels.tile_blocks(w) * w // 2 - 3)
+    workspaces = (_kernels.worker_count(tiles) * _kernels.WORKSPACE_COLUMNS
+                  * _kernels.tile_blocks(w) * word_dtype(w).itemsize)
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(result) is bytearray
+        assert peak - len(result) <= workspaces + (512 << 10), (call, w, peak - len(result))
+        return result
+
+    blob = traced(lambda: encrypt_bytes(payload, z, t0, u, w))
+    assert traced(lambda: decrypt_bytes(blob, z, t0, u)) == payload
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_streams_make_the_containers_of_the_in_memory_calls(w, rng, monkeypatch):
+    # with tiles of 16 blocks, the streams read and write chunks of STREAM_TILES
+    # tiles: sizes around chunk edges give the container encrypt_bytes makes and
+    # the plaintext decrypt_bytes recovers, the last chunk padded or truncated
+    monkeypatch.setattr(_kernels, "TILE_BYTES", 2 * w)
+    z, t0, u = keys(rng, w)
+    bb = w // 2
+    chunk = STREAM_TILES * _kernels.tile_blocks(w) * bb
+    for tweaking in (True, False):
+        for size in (0, 1, bb, chunk - 1, chunk, chunk + 1, 2 * chunk + bb - 1, 3 * chunk + 5):
+            data = rng.randbytes(size)
+            blob = encrypt_bytes(data, z, t0, u, w, tweaking=tweaking)
+            dst = io.BytesIO()
+            encrypt_stream(io.BytesIO(data), dst, size, z, t0, u, w, tweaking=tweaking)
+            assert dst.getvalue() == blob, (tweaking, size)
+            src, dst = io.BytesIO(blob), io.BytesIO()
+            decrypt_stream(src, dst, read_header(src, len(blob)), z, t0, u)
+            assert dst.getvalue() == data, (tweaking, size)
+    # a source shorter or longer than its stated length is refused
+    for stated in (size - 1, size + 1):
+        with pytest.raises(OSError):
+            encrypt_stream(io.BytesIO(data), io.BytesIO(), stated, z, t0, u, w)
+    src = io.BytesIO(blob)
+    header = read_header(src, len(blob))
+    with pytest.raises(OSError):
+        decrypt_stream(io.BytesIO(blob[HEADER_LEN:-1]), io.BytesIO(), header, z, t0, u)
+    with pytest.raises(ContainerFormatError):
+        read_header(io.BytesIO(blob), len(blob) + 1)
+    # bad key material is refused before anything is written, also with no blocks
+    for length in (0, 5):
+        dst = io.BytesIO()
+        with pytest.raises(ValueError):
+            encrypt_stream(io.BytesIO(bytes(length)), dst, length, z, 2**300, u, w)
+        assert dst.getvalue() == b""
+
+
+def _well_formed(header, body_len):
+    """Whether a header of the layout in the container docstring describes a body of body_len octets."""
+    width, flags, length = header[6], header[7], int.from_bytes(header[8:16], "little")
+    return (header[:6] == MAGIC and width in (16, 32, 64) and flags in (0, 1) and header[16:] == bytes(8)
+            and -(-length // (width // 2)) * (width // 2) == body_len)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_malformed_containers_raise_only_format_errors(w, tmp_path):
+    # every single-octet change of the header, and every truncation and some
+    # extensions of the container: decrypt_bytes raises ContainerFormatError for each
+    # malformed one and nothing else, and returns the plaintext length of the others;
+    # nsabc decrypt exits 3 on a seeded sample of them and leaves no output file
+    seeded = random.Random(20261020 + w)
+    key = tuple(seeded.randrange(1 << w) for _ in range(5))
+    tweak_key, unit_key = seeded.randrange(1 << (4 * w)), seeded.randrange(1 << w)
+    bb = w // 2
+    blob = bytes(encrypt_bytes(seeded.randbytes(3 * bb + 3), key, tweak_key, unit_key, w))
+    body_len = len(blob) - HEADER_LEN
+    changed = [blob[:pos] + bytes([value]) + blob[pos + 1:]
+               for pos in range(HEADER_LEN) for value in range(256) if value != blob[pos]]
+    truncated = [blob[:n] for n in range(len(blob))]
+    extended = [blob + seeded.randbytes(n) for n in range(1, 2 * bb + 1)]
+    accepted = 0
+    for data in changed + truncated + extended:
+        well_formed = len(data) >= HEADER_LEN and _well_formed(data[:HEADER_LEN], len(data) - HEADER_LEN)
+        try:
+            plain = decrypt_bytes(data, key, tweak_key, unit_key)
+        except ContainerFormatError:
+            assert not well_formed, data[:HEADER_LEN].hex()
+        else:
+            assert well_formed and len(plain) == int.from_bytes(data[8:16], "little")
+            accepted += 1
+    assert 0 < accepted < 40 and len(changed) == HEADER_LEN * 255
+    # a change of the body alone still decrypts, to other octets of the same length
+    for pos in range(HEADER_LEN, len(blob)):
+        flipped = bytearray(blob)
+        flipped[pos] ^= 1 << seeded.randrange(8)
+        plain = decrypt_bytes(flipped, key, tweak_key, unit_key)
+        assert len(plain) == 3 * bb + 3 and plain != decrypt_bytes(blob, key, tweak_key, unit_key)
+    src, out = tmp_path / "in.nsabc", tmp_path / "out.bin"
+    keys_hex = ["--key", f"{sum(k << (i * w) for i, k in enumerate(key)):0{5 * w // 4}x}",
+                "--tweak-key", f"{tweak_key:0{w}x}", "--unit-key", f"{unit_key:0{w // 4}x}"]
+    for data in seeded.sample(changed, 48) + truncated + extended[::3]:
+        src.write_bytes(data)
+        well_formed = len(data) >= HEADER_LEN and _well_formed(data[:HEADER_LEN], len(data) - HEADER_LEN)
+        code = main(["decrypt", *keys_hex, "--in", str(src), "--out", str(out)])
+        assert code == (EXIT_OK if well_formed else EXIT_FORMAT) and out.exists() == well_formed
+        if well_formed:
+            out.unlink()
