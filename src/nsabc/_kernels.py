@@ -203,24 +203,13 @@ def icrypt_tile(y, x, work, t, schedule) -> None:
     np.stack(_rounds(work, t[::-1], schedule, _igbox_into)[::-1], axis=1, out=x)
 
 
-def _check_out(out, x) -> np.ndarray:
-    """out if it can take the result for the blocks x: a writable array of x's shape and dtype
-    that is x itself, in the same memory with the same strides, or shares no memory with it."""
-    if not (isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == x.dtype
-            and out.flags.writeable):
-        raise ValueError(f"out must be a writable {x.shape} array of {x.dtype}")
-    if out is not x and np.may_share_memory(out, x) and (
-            out.__array_interface__["data"][0], out.strides) != (x.__array_interface__["data"][0], x.strides):
-        raise ValueError("out must be the input itself or share no memory with it")
-    return out
-
-
 def crypt_batch(x, tweak, schedule, words=crypt_tile, out=None) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype, written into out
     and returned; x is never written unless it is out.
 
-    out, by default a fresh array, may be x itself: each tile is copied into its
-    worker's registers before any of its rows is written.
+    out is None, for a fresh array, or x itself if x is writable: each tile is
+    copied into its worker's registers before any of its rows is written.  Any
+    other out raises ValueError.
 
     ``tweak(start, stop, out, prev, scratch)`` writes the 4 tweak words of
     blocks start..stop-1 into out, a (4, stop - start) array of the word dtype:
@@ -236,7 +225,12 @@ def crypt_batch(x, tweak, schedule, words=crypt_tile, out=None) -> np.ndarray:
     the others at their next tile and is raised here once all have stopped.
     """
     nblocks = x.shape[0]
-    y = np.empty(x.shape, dtype=x.dtype) if out is None else _check_out(out, x)
+    if out is None:
+        y = np.empty(x.shape, dtype=x.dtype)
+    elif out is x and x.flags.writeable:
+        y = x
+    else:
+        raise ValueError("out must be None or the blocks themselves, writable")
     length = tile_blocks(schedule.width)
     starts = iter(range(0, nblocks, length))
     workers = worker_count(-(-nblocks // length))

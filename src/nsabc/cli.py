@@ -9,7 +9,10 @@
     nsabc analyze {gbox-bijectivity,gbox-diffusion,gbox-identity,avalanche} [options]
 
 Files are streamed a few tiles of blocks at a time, so memory does not grow
-with their size; --in and --out must name different files.
+with their size; only an encrypt input that is not a regular file, such as a
+pipe, is read whole.  An output that is a regular file, or a new one, is
+written under a temporary name beside it and renamed into place, so a failed
+run leaves an existing --out as it was.
 
 Key material is given as high-first hex strings of exactly 5w (key), 4w
 (tweak key) and w (unit key) bits, either via the flags or the environment
@@ -24,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import stat
 import string
 import sys
+import tempfile
 
 from . import analysis, bench
 from .container import ContainerFormatError, decrypt_stream, encrypt_stream, read_header
@@ -83,40 +88,56 @@ def _key_material(args, w: int):
 
 
 def _open_input(path: str):
-    """The regular file at path, opened for reading, and its size: a container's header
-    holds the plaintext length, so a pipe cannot be streamed."""
+    """The file at path, opened for reading, and its size if it is a regular file:
+    a pipe or a device has none until it is read."""
     try:
         fh = open(path, "rb")
     except OSError as ex:
         raise OSError(f"cannot read {path}: {ex}") from ex
     st = os.fstat(fh.fileno())
-    if not stat.S_ISREG(st.st_mode):
-        fh.close()
-        raise UsageError(f"--in must name a regular file, not {path}")
-    return fh, st.st_size
+    return fh, st.st_size if stat.S_ISREG(st.st_mode) else None
 
 
-def _write_output(src, path: str, write) -> None:
-    """Create the file at path and fill it with write(fh); a failed write leaves no file.
+def _write_output(path: str, write) -> None:
+    """Fill the file at path with write(fh).
 
-    The output may not be the input file src, which opening it for writing would empty.
+    A regular file, or a new one, is written under a temporary name beside it and
+    renamed over it once write returns, so a failure leaves what was there, and
+    --out may be --in; a pipe or a device is written directly and never removed.
     """
     try:
-        same = os.path.samestat(os.fstat(src.fileno()), os.stat(path))
-    except OSError:  # no such file yet, or one that opening it reports
-        same = False
-    if same:
-        raise UsageError("--in and --out name the same file")
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    except OSError as ex:
+        raise OSError(f"cannot write {path}: {ex}") from ex
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        try:
+            fh = open(path, "wb")
+        except OSError as ex:
+            raise OSError(f"cannot write {path}: {ex}") from ex
+        with fh:
+            write(fh)
+        return
+    if st is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask  # the mode a file opened for writing gets
+    else:
+        mode = stat.S_IMODE(st.st_mode)
+    target = os.path.realpath(path)  # through a symlink, as opening it would
     try:
-        fh = open(path, "wb")
+        fd, tmp = tempfile.mkstemp(prefix=".nsabc-", dir=os.path.dirname(target))
     except OSError as ex:
         raise OSError(f"cannot write {path}: {ex}") from ex
     try:
-        with fh:
+        with open(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), mode)
             write(fh)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
-            os.unlink(path)
+            os.unlink(tmp)
         raise
 
 
@@ -125,7 +146,10 @@ def cmd_encrypt(args) -> int:
     z, t0, u = _key_material(args, w)
     src, length = _open_input(args.infile)
     with src:
-        _write_output(src, args.outfile, lambda dst: encrypt_stream(
+        if length is None:  # the header holds the length, so such an input is read whole
+            data = src.read()
+            src, length = io.BytesIO(data), len(data)
+        _write_output(args.outfile, lambda dst: encrypt_stream(
             src, dst, length, z, t0, u, w, tweaking=not args.no_tweak))
     return EXIT_OK
 
@@ -137,7 +161,7 @@ def cmd_decrypt(args) -> int:
         if args.width is not None and args.width != header.width:
             raise UsageError(f"--width {args.width} conflicts with container width {header.width}")
         z, t0, u = _key_material(args, header.width)
-        _write_output(src, args.outfile, lambda dst: decrypt_stream(src, dst, header, z, t0, u))
+        _write_output(args.outfile, lambda dst: decrypt_stream(src, dst, header, z, t0, u))
     return EXIT_OK
 
 

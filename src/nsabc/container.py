@@ -145,8 +145,11 @@ def _stream(src, dst, header: ContainerHeader, crypt, encrypting: bool) -> None:
 
     Encrypting reads the plaintext and zero-pads its last block, and writes the
     header and every block; decrypting reads every block after the header and
-    writes the plaintext.
+    writes the plaintext.  A source that ends early or runs on raises OSError
+    when encrypting, and ContainerFormatError, a body of the wrong length, when
+    decrypting.
     """
+    mismatch = OSError if encrypting else ContainerFormatError
     body, bb = header.body_length(), header.block_bytes()
     read_len, write_len = (header.plaintext_length, body) if encrypting else (body, header.plaintext_length)
     step = STREAM_TILES * tile_blocks(header.width) * bb
@@ -159,12 +162,12 @@ def _stream(src, dst, header: ContainerHeader, crypt, encrypting: bool) -> None:
         size = min(step, body - pos)
         got = min(size, read_len - pos)
         if src.readinto(view[:got]) != got:
-            raise OSError("input ended before its stated length")
+            raise mismatch("input ended before its stated length")
         view[got:size] = bytes(size - got)
         crypt(words[:size // bb], pos // bb)
         dst.write(view[:min(size, write_len - pos)])
     if src.read(1):
-        raise OSError("input runs on past its stated length")
+        raise mismatch("input runs on past its stated length")
 
 
 def encrypt_stream(src, dst, length: int, key, tweak_key: int, unit_key: int, w: int, *,
@@ -180,11 +183,12 @@ def encrypt_stream(src, dst, length: int, key, tweak_key: int, unit_key: int, w:
     _stream(src, dst, header, crypt, True)
 
 
-def read_header(src, size: int) -> ContainerHeader:
-    """The header of a container of ``size`` octets read from the binary file src,
-    checked field by field and against that size."""
+def read_header(src, size: int | None = None) -> ContainerHeader:
+    """The header of a container read from the binary file src, checked field by
+    field and, if its ``size`` in octets is known, against that size."""
     header = parse_header(src.read(HEADER_LEN))
-    _check_body_length(header, size - HEADER_LEN)
+    if size is not None:
+        _check_body_length(header, size - HEADER_LEN)
     return header
 
 

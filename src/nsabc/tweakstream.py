@@ -140,8 +140,8 @@ def _tile_tweaks(tweak_key: int, first_index: int, w: int, tweaking: bool):
 
 
 def _crypt_blocks(words, schedule, blocks, tweak_key: int, first_index: int, tweaking: bool, out):
-    """The kernel's ``words`` over the checked blocks and their tweaks, written into out,
-    or into a fresh array if it is None; a list back for a list."""
+    """The kernel's ``words`` over the checked blocks and their tweaks, written in place
+    if out is the block array, or into a fresh array if it is None; a list back for a list."""
     w = schedule.width
     as_array = isinstance(blocks, np.ndarray)
     xs = _as_block_array(blocks if as_array else list(blocks), w)
@@ -156,9 +156,9 @@ def encrypt_blocks(blocks, key, tweak_key: int, unit_key: int, w: int, *,
     Key, unit and affine schedules are computed once and reused for the whole
     sequence.  With ``tweaking=False`` every block uses the tweak key as a
     constant tweak.  Accepts a list of 4-word tuples or an (n, 4) array and
-    returns the same kind.  The words are written into ``out``, a writable
-    (n, 4) array of ``word_dtype(w)`` that may be the block array itself, or
-    by default into a fresh one; anything else in ``out`` raises ValueError.
+    returns the same kind.  The words go into a fresh array, or with ``out``
+    the block array itself, a writable (n, 4) array of ``word_dtype(w)``,
+    into that array in place; any other ``out`` raises ValueError.
     """
     schedule = affine_expand(key, unit_key, w)
     return _crypt_blocks(crypt_tile, schedule, blocks, tweak_key, first_index, tweaking, out)

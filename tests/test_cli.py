@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import stat
+import threading
 import tracemalloc
 
 import pytest
@@ -147,34 +149,80 @@ def test_file_round_trip_memory_does_not_grow_with_the_file(tmp_path):
     assert digest_back.digest() == digest.digest()
 
 
-def test_in_and_out_must_differ(tmp_path):
-    # opening the output would empty the input it streams from
-    src, ct = tmp_path / "p", tmp_path / "c"
-    src.write_bytes(b"keep me")
+def test_in_and_out_may_be_one_file(tmp_path):
+    # the output is written beside the input and renamed over it once the stream is
+    # done, keeping the mode the file had
+    src = tmp_path / "p"
+    src.write_bytes(b"round trip in place")
+    src.chmod(0o640)
     assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(tmp_path / "." / "p")) \
-        == EXIT_USAGE
-    assert src.read_bytes() == b"keep me"
+        == EXIT_OK
+    assert len(src.read_bytes()) == 24 + 24
+    assert run("decrypt", *key_args(), "--in", str(src), "--out", str(src)) == EXIT_OK
+    assert src.read_bytes() == b"round trip in place"
+    assert stat.S_IMODE(src.stat().st_mode) == 0o640 and os.listdir(tmp_path) == ["p"]
+
+
+def _through_fifo(path, data=None):
+    """A thread that writes data into the FIFO at path, or with no data reads it
+    into the list it returns; daemonic, so a run that never opens the FIFO cannot
+    hold the test process."""
+    got = []
+
+    def move():
+        if data is None:
+            with open(path, "rb") as fh:
+                got.append(fh.read())
+        else:
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+    thread = threading.Thread(target=move, daemon=True)
+    thread.start()
+    return thread, got
+
+
+def test_pipes_and_devices_are_read_and_written(tmp_path):
+    # a pipe or a device has no size: encrypt reads it whole, decrypt streams it and
+    # checks the body's length as it ends; an output pipe is written directly
+    data = random.Random(7).randbytes(3000)
+    src, ct, back, fifo = tmp_path / "p", tmp_path / "c", tmp_path / "b", tmp_path / "fifo"
+    src.write_bytes(data)
     assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(ct)) == EXIT_OK
-    kept = ct.read_bytes()
-    assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(ct)) == EXIT_USAGE
-    assert ct.read_bytes() == kept
+    blob = ct.read_bytes()
+    os.mkfifo(fifo)
+
+    def through(data, *argv):
+        thread, _ = _through_fifo(fifo, data)
+        code = run(*argv, *key_args(), "--in", str(fifo), "--out", str(back))
+        thread.join(10)
+        assert not thread.is_alive()
+        return code
+
+    assert through(data, "encrypt", "--width", "16") == EXIT_OK and back.read_bytes() == blob
+    assert through(blob, "decrypt") == EXIT_OK and back.read_bytes() == data
+    for bad in (blob[:-1], blob + b"x", blob[:10]):
+        assert through(bad, "decrypt") == EXIT_FORMAT and back.read_bytes() == data
+    thread, got = _through_fifo(fifo)
+    assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(fifo)) == EXIT_OK
+    thread.join(10)
+    assert not thread.is_alive() and got == [data]
+    assert run("encrypt", "--width", "16", *key_args(), "--in", os.devnull, "--out", str(back)) == EXIT_OK
+    assert len(back.read_bytes()) == 24
+    assert run("decrypt", *key_args(), "--in", os.devnull, "--out", str(back)) == EXIT_FORMAT
+    assert sorted(os.listdir(tmp_path)) == ["b", "c", "fifo", "p"]
 
 
-def test_input_must_be_a_regular_file(tmp_path):
-    # the header holds the plaintext length, taken from the input's size before it is read
-    out = tmp_path / "c"
-    assert run("encrypt", "--width", "16", *key_args(), "--in", os.devnull, "--out", str(out)) == EXIT_USAGE
-    assert run("decrypt", *key_args(), "--in", os.devnull, "--out", str(out)) == EXIT_USAGE
-    assert not out.exists()
-
-
-def test_failed_stream_leaves_no_output(tmp_path, monkeypatch):
-    # a failure after the output was opened, here an error in the 2nd chunk's
-    # decryption, removes the partial output
+def test_failed_stream_leaves_the_output_as_it_was(tmp_path, monkeypatch):
+    # a failure after the stream began, here an error in the 2nd chunk's decryption,
+    # removes the temporary file: an existing output keeps its octets, a new one is
+    # not made, and a pipe the output went into is left in place
     monkeypatch.setattr(_kernels, "TILE_BYTES", 32)
-    src, ct, back = tmp_path / "p", tmp_path / "c", tmp_path / "b"
+    src, ct, old, fifo = tmp_path / "p", tmp_path / "c", tmp_path / "old", tmp_path / "fifo"
     src.write_bytes(bytes(1000))
     assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(ct)) == EXIT_OK
+    old.write_bytes(b"previous output")
+    os.mkfifo(fifo)
     calls = []
     decrypt_blocks = nsabc.container.decrypt_blocks
 
@@ -185,8 +233,16 @@ def test_failed_stream_leaves_no_output(tmp_path, monkeypatch):
         return decrypt_blocks(*args, **kwargs)
 
     monkeypatch.setattr(nsabc.container, "decrypt_blocks", failing)
-    assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(back)) == EXIT_IO
-    assert len(calls) == 3 and not back.exists()
+    for out in (old, tmp_path / "new", fifo):
+        calls.clear()
+        thread, got = _through_fifo(fifo) if out == fifo else (None, None)
+        assert run("decrypt", *key_args(), "--in", str(ct), "--out", str(out)) == EXIT_IO
+        assert len(calls) == 3
+        if thread is not None:
+            thread.join(10)
+            assert not thread.is_alive() and len(got[0]) < 1000
+    assert old.read_bytes() == b"previous output" and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["c", "fifo", "old", "p"]
 
 
 def test_width_conflict_is_usage_error(tmp_path):

@@ -202,14 +202,17 @@ def test_streams_make_the_containers_of_the_in_memory_calls(w, rng, monkeypatch)
             src, dst = io.BytesIO(blob), io.BytesIO()
             decrypt_stream(src, dst, read_header(src, len(blob)), z, t0, u)
             assert dst.getvalue() == data, (tweaking, size)
-    # a source shorter or longer than its stated length is refused
+    # a source shorter or longer than its stated length is refused: a plaintext
+    # as an I/O error, a body as a malformed container, also when its size is
+    # found only as it ends
     for stated in (size - 1, size + 1):
         with pytest.raises(OSError):
             encrypt_stream(io.BytesIO(data), io.BytesIO(), stated, z, t0, u, w)
-    src = io.BytesIO(blob)
-    header = read_header(src, len(blob))
-    with pytest.raises(OSError):
-        decrypt_stream(io.BytesIO(blob[HEADER_LEN:-1]), io.BytesIO(), header, z, t0, u)
+    header = read_header(io.BytesIO(blob))
+    assert header == read_header(io.BytesIO(blob), len(blob))
+    for body in (blob[HEADER_LEN:-1], blob[HEADER_LEN:] + b"x"):
+        with pytest.raises(ContainerFormatError):
+            decrypt_stream(io.BytesIO(body), io.BytesIO(), header, z, t0, u)
     with pytest.raises(ContainerFormatError):
         read_header(io.BytesIO(blob), len(blob) + 1)
     # bad key material is refused before anything is written, also with no blocks
