@@ -128,11 +128,13 @@ def icrypt_words(y, t, schedule) -> tuple[int, ...]:
 # a tile: word-dtype columns, updated in place
 #
 # Every step writes into a column it is given (ufuncs take out as a positional
-# argument, the cheaper form), so a tile allocates nothing.  m, n and h are 0-d
-# arrays: numpy takes a 0-d operand faster than a scalar, about 0.9 against
+# argument, the cheaper form), so a tile allocates no column.  m, n and h are
+# 0-d arrays: numpy takes a 0-d operand faster than a scalar, about 0.9 against
 # 1.4 us for an in-place op on 16 blocks, and 8 of the 12 ops of a round have
-# one.  The schedule makes its 128 once (``AffineSchedule.operands``), so
-# ``_rounds`` builds only h per tile; they are read-only, and only read.
+# one.  ``_rounds`` makes h once per tile and each of the 128 words of m and
+# n as a 0-d view of the schedule's read-only arrays where a G takes it,
+# 15-21 us a tile; a list of them made per tile left more heap to fault in
+# again on each 4 MiB call.
 
 
 def _gbox_into(g, r, x, t, m0, m1, n0, n1, h):
@@ -171,17 +173,18 @@ def _igbox_into(g, r, x, t, m0, m1, n0, n1, h):
 
 def _rounds(work, t, schedule, gbox) -> list:
     """The 32 rounds on the registers work[:4] with the G ``gbox`` (``_gbox_into`` or
-    ``_igbox_into``) and the schedule's operands; work[4] takes the first G output, work[5] is scratch.
+    ``_igbox_into``) and the schedule's words as 0-d views of its arrays; work[4] takes the
+    first G output, work[5] is scratch.
 
     Each G writes into the column of the register the round before dropped: a
     type-B round reads x0 in ``round_update``, and only the next G overwrites it.
     """
-    m, n = schedule.operands
+    m, n = schedule.arrays
     h = np.array(schedule.width >> 1, work.dtype)
     x0, x1, x2, x3, free, r = work
     t = list(t)  # rows of an array would be made anew on each index
     for k in range(32):
-        g = gbox(free, r, x0, t[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], h)
+        g = gbox(free, r, x0, t[k & 3], m[2 * k, ...], m[2 * k + 1, ...], n[2 * k, ...], n[2 * k + 1, ...], h)
         free = x0
         x0, x1, x2, x3 = round_update(x0, x1, x2, x3, g, k)
     return [x0, x1, x2, x3]

@@ -18,11 +18,10 @@ checked tweak rows or from one checked tweak (``tweakstream`` derives its
 tweaks into them itself).
 
 An ``AffineSchedule`` holds its m and n as tuples of ints and once more as
-read-only arrays of that dtype, from which the numpy tiles have it make their
-0-d operands once (``operands``).  ``affine_expand`` and ``invert_affine``
-derive those arrays with word-dtype arithmetic, whose wrap does every
-reduction; their words are not scanned again, while a schedule built by
-hand is checked word by word.
+read-only arrays of that dtype, and no transform writes to it.
+``affine_expand`` and ``invert_affine`` derive those arrays with word-dtype
+arithmetic, whose wrap does every reduction; their words are not scanned
+again, while a schedule built by hand is checked word by word.
 Key and unit key are validated by the schedule expansions they feed.
 """
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +43,8 @@ class AffineSchedule:
     """Precomputed (m, n) pairs for the 64 half-rounds; every m is odd.
 
     The scalar path runs on the int tuples m and n.  ``arrays`` holds them once
-    more, as read-only arrays of the word dtype, from which the batch kernel's
-    operands are made.  The pairs give away the key and unit words, so
-    ``repr`` leaves them out.
+    more, as read-only arrays of the word dtype, which the numpy tiles read.
+    The pairs give away the key and unit words, so ``repr`` leaves them out.
     """
 
     width: int
@@ -86,11 +83,6 @@ class AffineSchedule:
         m.setflags(write=False)
         n.setflags(write=False)
         object.__setattr__(self, "arrays", (m, n))
-
-    @cached_property
-    def operands(self) -> tuple[list, list]:
-        """m and n as read-only 0-d arrays of the word dtype, the operands of the numpy tiles."""
-        return tuple([a[i, ...] for i in range(64)] for a in self.arrays)
 
 
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:

@@ -117,8 +117,8 @@ def test_affine_multipliers_always_odd(w, rng):
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_affine_expand_matches_the_word_formula(w, rng):
     # the array derivation equals the per-word formula, hashes like the schedule built
-    # by hand from it, and holds m and n as read-only arrays and 0-d operands of the
-    # word dtype, which one schedule reuses unchanged across batch calls
+    # by hand from it, and holds m and n as read-only arrays of the word dtype, which
+    # one schedule reuses unchanged across batch calls
     mask = (1 << w) - 1
     xs = random_block_array(rng, 5, w)
     for z, u in edge_key_material(w) + [random_tuple(rng, w)[1::2]]:
@@ -129,12 +129,9 @@ def test_affine_expand_matches_the_word_formula(w, rng):
         assert s == ref and hash(s) == hash(ref)
         assert all(type(v) is int for v in (*s.m, *s.n))
         for sched in (s, ref, invert_affine(s)):
-            operands = [v for words in sched.operands for v in words]
-            for a in (*sched.arrays, *operands):
+            for a in sched.arrays:
                 assert a.dtype == word_dtype(w) and not a.flags.writeable
-            assert all(a.shape == () for a in operands)
             assert [a.tolist() for a in sched.arrays] == [list(sched.m), list(sched.n)]
-            assert [int(v) for v in operands] == [*sched.m, *sched.n]
         inv = invert_affine(s)
         first, again = crypt_fast_batch(xs, (1, 2, 3, 4), s), crypt_fast_batch(xs, (1, 2, 3, 4), s)
         assert np.array_equal(first, again)
@@ -143,9 +140,67 @@ def test_affine_expand_matches_the_word_formula(w, rng):
         assert [a.tolist() for a in s.arrays] == [list(ref.m), list(ref.n)]  # the calls wrote no word
 
 
+@pytest.mark.threads
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_no_transform_writes_its_schedule(w, rng, monkeypatch, started):
+    # derived words are not checked again, and the kernel hands each tile the schedule
+    # itself, from which the tile reads the form it runs on.  No transform writes to
+    # the schedule or its inverse: not the int loop, not the numpy tiles of 2-tile calls
+    # on 2 workers in both directions, not a tile that reads only ``arrays``, as a
+    # compiled one would
+    def scan_again(self):
+        raise AssertionError("a derived schedule was scanned again")
+
+    _, z, t, u = random_tuple(rng, w)
+    with monkeypatch.context() as patch:
+        patch.setattr(AffineSchedule, "__post_init__", scan_again)
+        s = affine_expand(z, u, w)
+        inv = invert_affine(s)
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
+    kept = [(sched, dict(vars(sched)), [a.tobytes() for a in sched.arrays]) for sched in (s, inv)]
+    handed = []
+
+    def handing(tile):
+        def words(x, y, work, tw, schedule):
+            handed.append(schedule)
+            tile(x, y, work, tw, schedule)
+        return words
+
+    @handing
+    def arrays_tile(x, y, work, tw, schedule):
+        m, n = schedule.arrays
+        regs = list(x.T.copy())
+        for k in range(32):
+            g = affine_gbox(regs[0], tw[k & 3], m[2 * k], m[2 * k + 1], n[2 * k], n[2 * k + 1], w >> 1, (1 << w) - 1)
+            regs = list(round_update(*regs, g, k))
+        np.stack(regs, axis=1, out=y)
+
+    count = tile_blocks(w) + 3
+    xs = random_block_array(rng, count, w)
+    tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
+
+    def tweak(start, stop, tw, prev, scratch):
+        np.copyto(tw, tweak_columns)
+
+    out = crypt_batch(xs, tweak, s, handing(crypt_tile))
+    assert np.array_equal(crypt_batch(out, tweak, inv, handing(icrypt_tile)), xs)
+    assert np.array_equal(crypt_batch(xs, tweak, s, arrays_tile), out)
+    assert len(started) == 3
+    assert len(handed) == 6 and all(a is b for a, b in zip(handed, (s, s, inv, inv, s, s)))
+    for i in tile_edge_rows(rng, count, w):
+        assert crypt_fast(xs[i].tolist(), t, s) == tuple(out[i].tolist()), i
+        assert icrypt_fast(out[i].tolist(), t, inv) == tuple(xs[i].tolist()), i
+    for sched, attrs, arrays in kept:
+        assert vars(sched).keys() == attrs.keys()
+        assert all(vars(sched)[name] is value for name, value in attrs.items())
+        assert [a.tobytes() for a in sched.arrays] == arrays
+        assert not any(a.flags.writeable for a in sched.arrays)
+
+
 def test_schedule_operands_are_made_once(monkeypatch, rng):
-    # derived words are not checked again, and the kernel hands every tile the
-    # schedule, whose 0-d operands the tiles make once and then reuse
+    # the schedule's words are made once, when it is derived, and not checked again;
+    # the kernel hands every tile the schedule, and each numpy G takes its words as
+    # read-only 0-d views of the schedule's arrays, never as copies
     def scan_again(self):
         raise AssertionError("a derived schedule was scanned again")
 
@@ -155,33 +210,57 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
     s = affine_expand(z, u, w)
     inv = invert_affine(s)
     monkeypatch.undo()
-    seen = []
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 1)
+    seen, operands = [], []
 
     def words(x, y, work, tw, schedule):
+        seen.append(schedule)
         crypt_tile(x, y, work, tw, schedule)
-        seen.append((schedule, schedule.operands))
 
+    def spying(gbox):
+        def spy(g, r, x, tw, m0, m1, n0, n1, h):
+            operands.append((m0, m1, n0, n1))
+            return gbox(g, r, x, tw, m0, m1, n0, n1, h)
+        return spy
+
+    monkeypatch.setattr(_kernels, "_gbox_into", spying(_gbox_into))
+    monkeypatch.setattr(_kernels, "_igbox_into", spying(_igbox_into))
     xs = random_block_array(rng, 2 * tile_blocks(w) + 1, w)
     tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
     for _ in range(2):
         out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns), s, words)
         assert np.array_equal(out, crypt_fast_batch(xs, t, s))
-    assert len(seen) == 6 and all(schedule is s for schedule, _ in seen)
-    assert all([int(v) for v in (*m, *n)] == [*s.m, *s.n] for _, (m, n) in seen)
-    # cached_property takes no lock from Python 3.12 on, so the two workers of the first
-    # call may each make them once; from the second call on every tile reuses the kept ones
-    assert all(operands is s.operands for _, operands in seen[3:])
+    assert len(seen) == 6 and all(schedule is s for schedule in seen)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
+    # on one worker: 12 encrypting tiles, then 3 decrypting ones, each G of rounds 0..31
+    assert len(operands) == 15 * 32
+    for i, words_of_g in enumerate(operands):
+        sched, k = (s if i < 12 * 32 else inv), i % 32
+        m, n = sched.arrays
+        assert [int(v) for v in words_of_g] == [sched.m[2 * k], sched.m[2 * k + 1], sched.n[2 * k], sched.n[2 * k + 1]]
+        for v, a in zip(words_of_g, (m, m, n, n)):
+            assert v.shape == () and v.dtype == word_dtype(w) and not v.flags.writeable
+            assert np.shares_memory(v, a)
 
 
-def test_only_the_numpy_tiles_make_operands(rng):
+def test_only_the_numpy_tiles_make_operands(monkeypatch, rng):
     # the kernel hands each tile the schedule itself, from which the tile reads the form
     # it runs on: a tile that reads only ``arrays``, as a compiled one would, and the int
-    # loop in both directions leave the schedule without the numpy tiles' operands
+    # loop in both directions make no numpy G operands, and the schedule keeps none
     w = 32
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     inv = invert_affine(s)
+    count = tile_blocks(w) + 3
+    xs = random_block_array(rng, count, w)
+    expected = crypt_fast_batch(xs, t, s)
+    monkeypatch.setattr(_kernels, "usable_cpus", lambda: 1)
+
+    def no_operands(*args):
+        raise AssertionError("a numpy G ran")
+
+    monkeypatch.setattr(_kernels, "_gbox_into", no_operands)
+    monkeypatch.setattr(_kernels, "_igbox_into", no_operands)
     handed = []
 
     def words(x, y, work, tw, schedule):
@@ -193,15 +272,14 @@ def test_only_the_numpy_tiles_make_operands(rng):
             regs = list(round_update(*regs, g, k))
         np.stack(regs, axis=1, out=y)
 
-    count = tile_blocks(w) + 3
-    xs = random_block_array(rng, count, w)
     tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
     out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns), s, words)
     assert len(handed) == 2 and all(schedule is s for schedule in handed)
+    assert np.array_equal(out, expected)
     for i in tile_edge_rows(rng, count, w):
         assert crypt_fast(xs[i].tolist(), t, s) == tuple(out[i].tolist()), i
         assert icrypt_fast(out[i].tolist(), t, inv) == tuple(xs[i].tolist()), i
-    assert "operands" not in vars(s) and "operands" not in vars(inv)
+    assert not hasattr(s, "operands") and not hasattr(inv, "operands")
 
 
 def test_affine_gbox_identity_and_reference_value():
@@ -570,6 +648,7 @@ def started(monkeypatch):
     return threads
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_threads_match_one_worker(w, rng, monkeypatch, started):
     # tiles on 2 threads give the bits one worker gives, at 1, 2 and 3 tiles and
@@ -587,6 +666,7 @@ def test_threads_match_one_worker(w, rng, monkeypatch, started):
             started.clear()
 
 
+@pytest.mark.threads
 def test_one_tile_call_starts_no_thread(rng, monkeypatch, started):
     # a call of one tile, as every short message, runs inline
     monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
@@ -598,6 +678,7 @@ def test_one_tile_call_starts_no_thread(rng, monkeypatch, started):
     assert started == []
 
 
+@pytest.mark.threads
 def test_threads_under_stress(rng, monkeypatch):
     # more workers than cores, switching threads every microsecond: a tile lost,
     # run twice or given another tile's tweaks would change the output
@@ -617,6 +698,7 @@ def test_threads_under_stress(rng, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.threads
 def test_failing_tile_function_stops_every_thread(rng, monkeypatch, started):
     # a tile function that raises on its 2nd tile makes crypt_batch raise that
     # exception, once every thread has stopped, whichever thread asked for the tile
@@ -726,6 +808,7 @@ def test_batch_never_writes_caller_arrays(w, rng):
     assert all(type(v) is int for state in trace.text_rows for v in state)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("w", [16, 32, 64])
 @pytest.mark.parametrize("tiles, extra", [(0, 1), (0, 255), (0, 256), (0, 257), (1, 3), (2, 3), (3, 3)])
 def test_out_equals_the_allocating_call(w, tiles, extra, rng, monkeypatch):

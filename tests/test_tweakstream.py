@@ -104,6 +104,7 @@ def test_advanced_tiles_equal_the_closed_form(w, rng):
             assert tuple(rows[j].tolist()) == tweak_at(t0, (first + j) % top, w), (t0, first, j)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
     # the tile function keeps no state: columns that hold tile p, advanced in place
