@@ -23,20 +23,23 @@ tweak word, rotate, multiply-add; ``affine_igbox``, ``_igbox_into``), on the
 tweak words reversed and never rotated.  At the end the registers hold S of
 the reordered result, so the plaintext is the registers in reverse order.
 
-A tile holds ``TILE_BYTES`` per word column, ``tile_blocks(w)`` blocks.  The
-tweak of block j depends on j alone, so tiles are independent, and a call of
-2 or more tiles runs on ``worker_count`` threads: the calling thread and
-helpers it starts and joins before it returns.  numpy releases the
-interpreter lock inside its loops, and a tile's columns are long enough for
-the two threads to overlap.  The calling thread allocates each worker's
-workspace, one array for all, before any worker starts, and the workers
-allocate no column: they have a tile's tweak words written into their own
-tweak columns, copy the tile into their registers, update them in place with
-``out=`` ufunc calls, and write the result into the caller's output.  Workers
-take tiles under one lock and make each tile's tweak words outside it, from
-those of their own tile before.  Workers call ``words`` and the tile function
-only, never an entry point that perfbench's tracer wraps, since its span
-stack is single-threaded.
+A tile holds ``TILE_BYTES`` per word column, ``tile_blocks(w)`` blocks.  A
+call's tweaks are two 4w-bit ints, first and step: block i has the tweak
+first + i*step mod 2**(4w), so tiles are independent, and a call of 2 or
+more tiles runs on ``worker_count`` threads: the calling thread and helpers
+it starts and joins before it returns.  numpy releases the interpreter lock
+inside its loops, so the two threads can overlap, but they do not always: on
+a 2-core Xeon, the CPU time of 4 MiB calls was 1.6-1.8 times their wall time
+in 62 of 72 loops of 12 calls, and 0.95-1.13 times in the other 10.  The
+calling thread allocates each worker's workspace, one array for all, before
+any worker starts, and the workers allocate no column: they write a tile's
+tweak words into their own tweak columns (``tile_tweaks``), copy the tile
+into their registers, update them in place with ``out=`` ufunc calls, and
+write the result into the caller's output.  Workers take tiles under one
+lock and make each tile's tweak words outside it, from those of their own
+tile before.  Workers call ``words`` and ``tile_tweaks`` only, never an
+entry point that perfbench's tracer wraps, since its span stack is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ import threading
 
 import numpy as np
 
-from .cipher import round_update
+from .cipher import int_to_block, round_update, word_dtype
 
 #: Bytes per word column of a tile: 2**17 / 2**16 / 2**15 blocks at w=16/32/64.
-#: Columns this long let 2 threads overlap at w=16; 128 KiB ones gained nothing.
+#: 64 KiB and 128 KiB columns ran slower.
 TILE_BYTES = 1 << 18
 
 #: Most threads a call runs on; the hosts measured have 2 cores.
@@ -206,23 +209,115 @@ def icrypt_tile(y, x, work, t, schedule) -> None:
     np.stack(_rounds(work, t[::-1], schedule, _igbox_into)[::-1], axis=1, out=x)
 
 
-def crypt_batch(x, tweak, schedule, words=crypt_tile, out=None) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# a tile's tweak columns: block i of a call has the tweak first + i*step mod 2**(4w)
+
+
+#: Blocks of a seeded tile made from limbs; the rest of it is added to them.
+#: Seeds from 2**9 to 2**13 made a full tile in about the same time, 0.30 to 0.49 ms
+#: alone and 0.66 to 1.07 ms two at once, at every width on a 2-core Xeon, against
+#: 0.6 to 1.4 ms from limbs alone.
+SEED_BLOCKS = 1 << 10
+
+
+def _limbs(value: int, w: int) -> np.ndarray:
+    """A 4w-bit int as a column of its little-endian limbs of min(w, 32) bits, held in uint64."""
+    return np.frombuffer(value.to_bytes(w // 2, "little"), dtype=word_dtype(min(w, 32))).astype(np.uint64)[:, None]
+
+
+def _sums(base: int, step: int, count: int, w: int) -> np.ndarray:
+    """base + i*step for i < count as 4 rows of words held in uint64; cast to the word
+    dtype, they are reduced mod 2**(4w).
+
+    The limb sums base_b + i*step_b of b = min(w, 32) bits are formed
+    limb-major.  As i < 2**10, i*step_b < 2**26 / 2**42 / 2**42 at
+    w=16/32/64, and each, with the carry it takes in from the limb below,
+    stays below 2**27 / 2**43 / 2**43: one pass from the lowest limb up
+    carries them all.  A limb is a word, or at w=64 half of one.
+    """
+    bits = min(w, 32)
+    acc = _limbs(step, w) * np.arange(count, dtype=np.uint64)
+    acc += _limbs(base, w)
+    for lo, hi in zip(acc, acc[1:]):
+        hi += lo >> bits
+    if w == 64:  # the shift drops what passed bit 64, the mask the carry of the low limb
+        lo = acc[0::2]
+        lo &= 0xFFFFFFFF
+        acc = acc[1::2] << 32
+        acc |= lo
+    return acc
+
+
+def _add(columns, delta, out, carries) -> None:
+    """out = columns + delta, 4 rows of words as 4w-bit numbers, with 2 bool rows of carries."""
+    # word k is t + c (+ the carry in), its carry out found by comparison; word 3's falls off.
+    # Row by row, as numpy copies the input of a 2-D add between column ranges of one array
+    for s, t, c in zip(out, columns, delta):
+        np.add(t, c, s)
+    carry, over = carries
+    np.less(out[0], delta[0], carry)
+    for s, c in zip(out[1:3], delta[1:3]):
+        np.less(s, c, over)
+        s += carry
+        np.less(s, carry, carry)  # adding the carry in wrapped s to 0
+        carry |= over
+    out[3] += carry
+
+
+def tile_tweaks(t, scratch, first: int, step: int, start: int, prev) -> None:
+    """Write into t, the (4, count) tweak columns of a tile, the tweak words of blocks
+    start..start+count-1 of a call whose block i has the tweak first + i*step mod 2**(4w).
+
+    t is of the word dtype, and scratch is 2 rows of it, at least as long, used
+    as carries.  With step 0 every block has the tweak first, and its 4 words
+    fill t.  With prev None the tile is seeded: its first s = min(count,
+    ``SEED_BLOCKS``) blocks are limb sums (``_sums``), and block k*s + i is
+    block i plus k*s*step, whose multiples are limb sums too, in one add over a
+    grid of rows of s blocks and one more for a part row.  Otherwise t holds
+    the tile from block prev, an earlier and no shorter one, and is advanced in
+    place by (start - prev)*step.  It keeps no state, so calls on separate
+    columns may run at once.
+    """
+    w = t.dtype.itemsize * 8
+    if not step:
+        np.copyto(t, np.array(int_to_block(first, w), t.dtype)[:, None])
+        return
+    wm = (1 << (4 * w)) - 1
+    count = t.shape[1]
+    carries = scratch.view(bool)[:, :count]  # not word rows: a full-tile advance is 10-20 % faster
+    if prev is not None:
+        _add(t, np.array(int_to_block((start - prev) * step & wm, w), t.dtype), t, carries)
+        return
+    seed = min(count, SEED_BLOCKS)
+    t[:, :seed] = _sums((first + start * step) & wm, step, seed, w)
+    if count == seed:
+        return
+    # one add for all rows, not one per doubling: seeds on two threads at once wait
+    # on each other for the interpreter lock at each numpy call
+    rows, part = divmod(count, seed)
+    multiples = _sums(0, seed * step & wm, rows + 1, w).astype(t.dtype)[:, :, None]
+    grid = [word[:rows * seed].reshape(rows, seed) for word in t]
+    _add([g[:1] for g in grid], multiples[:, 1:rows], [g[1:] for g in grid],
+         [c[:(rows - 1) * seed].reshape(rows - 1, seed) for c in carries])
+    if part:
+        _add(t[:, :part], multiples[:, rows], t[:, rows * seed:], carries[:, :part])
+
+
+def crypt_batch(x, first: int, step: int, schedule, words=crypt_tile, out=None) -> np.ndarray:
     """``words`` over an (nblocks, 4) array, tile by tile, in one dtype, written into out
     and returned; x is never written unless it is out.
 
-    out is None, for a fresh array, or x itself if x is writable: each tile is
-    copied into its worker's registers before any of its rows is written.  Any
-    other out raises ValueError.
+    Block i has the tweak first + i*step mod 2**(4w), two 4w-bit ints; one
+    tweak for all is (tweak, 0).  out is None, for a fresh array, or x itself
+    if x is writable: each tile is copied into its worker's registers before
+    any of its rows is written.  Any other out raises ValueError.
 
-    ``tweak(start, stop, out, prev, scratch)`` writes the 4 tweak words of
-    blocks start..stop-1 into out, a (4, stop - start) array of the word dtype:
-    the tweak columns of the worker that took the tile, which hold those of its
-    tile from prev, an earlier and no shorter one, or None at its first.
-    scratch is the 2 rows that ``words`` uses as G output and rotation scratch,
-    idle between tiles.  ``words(x, y, work, t, schedule)`` writes the tile x
-    into the output rows y under those columns t, which it must not write,
-    with work as ``crypt_tile`` takes it, and reads from the schedule the form
-    of its words that it runs on.
+    Each worker writes a tile's tweak words into its own tweak columns t with
+    ``tile_tweaks``, advancing them from its tile before.
+    ``words(x, y, work, t, schedule)`` writes the tile x into the output rows y
+    under those columns t, which it must not write, with work as
+    ``crypt_tile`` takes it, and reads from the schedule the form of its words
+    that it runs on.
 
     The tiles run on ``worker_count`` threads; an exception in any of them stops
     the others at their next tile and is raised here once all have stopped.
@@ -253,7 +348,7 @@ def crypt_batch(x, tweak, schedule, words=crypt_tile, out=None) -> np.ndarray:
                     return
                 stop = min(start + length, nblocks)
                 columns, t = space[:6, :stop - start], space[6:, :stop - start]
-                tweak(start, stop, t, prev, columns[4:])
+                tile_tweaks(t, columns[4:], first, step, start, prev)
                 words(x[start:stop], y[start:stop], columns, t, schedule)
                 prev = start
         except BaseException as exc:  # re-raised by the calling thread

@@ -4,11 +4,11 @@ Measures repeated-key bulk encryption (schedules precomputed once, as a real
 bulk workload would) and reports bytes/second per path, and beside it the
 microseconds per call of the schedule set-up that a fresh key pays
 (``affine_expand`` and ``invert_affine``), of the tweak columns of one tile
-of ``_kernels.tile_blocks(w)`` blocks (a worker's first tile, seeded from
-limbs, and a later one, advanced in place from the one before) and of the
-32 rounds of one such tile in each direction (``crypt_tile``,
-``icrypt_tile``), in a preallocated workspace.  For each width it
-names the tile length and the number of threads the batch kernel runs a
+of ``_kernels.tile_blocks(w)`` blocks (``_kernels.tile_tweaks`` on a
+worker's first tile, seeded from limbs, and on a later one, advanced in place
+from the one before) and of the 32 rounds of one such tile in each direction
+(``crypt_tile``, ``icrypt_tile``), in a preallocated workspace.  For each
+width it names the tile length and the number of threads the batch kernel runs a
 fast-batch call and a 4 MiB call on, with the reason.  When a CPU frequency
 is readable, an estimated cycles/byte figure is derived from it so the
 numbers can be eyeballed against the paper's own figure for its x86-64
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MAX_WORKERS, crypt_tile, icrypt_tile, tile_blocks, usable_cpus, worker_count
+from ._kernels import MAX_WORKERS, crypt_tile, icrypt_tile, tile_blocks, tile_tweaks, usable_cpus, worker_count
 from .cipher import crypt, word_dtype
 from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, invert_affine
 from .schedules import key_expand, tweak_expand, unit_expand
-from .tweakstream import _tile_tweaks
 from .words import check_cipher_width
 
 DEFAULT_WIDTHS = (32, 64)
@@ -141,21 +140,22 @@ def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
     rng, z, _, u, _ = _inputs(w, seconds, seed)
     schedule = affine_expand(z, u, w)
     inverse = invert_affine(schedule)
-    tweak_key = rng.randrange(1 << (4 * w))
+    first, step = rng.randrange(1 << (4 * w)), rng.randrange(1 << (4 * w))
     length = tile_blocks(w)
     dtype = word_dtype(w)
     # as the kernel hands them to a worker: its workspace, whose G output and rotation rows
-    # are the tile function's scratch, and tweak columns, seeded by the first tile timed
+    # are the carries of ``tile_tweaks``, and tweak columns, seeded by the first tile timed
     work, t = np.empty((6, length), dtype), np.empty((4, length), dtype)
-    scratch, tile = work[4:], _tile_tweaks(tweak_key, 0, w, True)
+    scratch = work[4:]
     x = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
     y = np.empty_like(x)
     return [
         SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
         SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
         SetupResult("tweak_first_tile", w,
-                    *_measure(lambda: _tile_tweaks(tweak_key, 0, w, True)(0, length, t, None, scratch), seconds, 1)),
-        SetupResult("tweak_advanced_tile", w, *_measure(lambda: tile(length, 2 * length, t, 0, scratch), seconds, 1)),
+                    *_measure(lambda: tile_tweaks(t, scratch, first, step, 0, None), seconds, 1)),
+        SetupResult("tweak_advanced_tile", w,
+                    *_measure(lambda: tile_tweaks(t, scratch, first, step, length, 0), seconds, 1)),
         SetupResult("tile_encrypt", w, *_measure(lambda: crypt_tile(x, y, work, t, schedule), seconds, 1)),
         SetupResult("tile_decrypt", w, *_measure(lambda: icrypt_tile(x, y, work, t, inverse), seconds, 1)),
     ]

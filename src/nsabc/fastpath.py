@@ -12,10 +12,9 @@ hands it checked blocks and the schedule, from which it reads the form it
 runs on.  The scalar functions call ``_kernels.crypt_words`` /
 ``icrypt_words``, which run one block of Python ints on the int words m and
 n; the batch functions call ``_kernels.crypt_batch``, which runs their
-blocks tile by tile on words of ``cipher.word_dtype`` and has each tile's
-tweak words written into the tile's own columns as it goes, copied from
-checked tweak rows or from one checked tweak (``tweakstream`` derives its
-tweaks into them itself).
+blocks tile by tile on words of ``cipher.word_dtype``, under one checked
+tweak, handed to it as a 4w-bit int with step 0 (``tweakstream`` hands it
+the first tweak of a run and its step).
 
 An ``AffineSchedule`` holds its m and n as tuples of ints and once more as
 read-only arrays of that dtype, and no transform writes to it.
@@ -27,13 +26,12 @@ Key and unit key are validated by the schedule expansions they feed.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .cipher import check_block, word_dtype
+from .cipher import block_to_int, check_block, word_dtype
 from .schedules import check_tweak, key_expand, unit_expand
 from .words import check_cipher_width, check_word, mod_inverse
 
@@ -160,33 +158,29 @@ def _as_block_array(blocks, w: int) -> np.ndarray:
     return arr
 
 
-def _tile_tweak(tweaks, nblocks: int, w: int) -> Callable:
-    """The kernel's tile tweak for ``tweaks``: checked tweak rows or one checked tweak."""
-    arr = _words(tweaks, w, "tweak words")
-    if arr.shape == (4,):
-        return lambda start, stop, out, prev, scratch: np.copyto(out, arr[:, None])
-    if arr.shape != (nblocks, 4):
-        raise ValueError(f"expected one 4-word tweak or tweak rows of shape ({nblocks}, 4), got {arr.shape}")
-    # copied into the tile's contiguous columns: the kernel XORs each into 8 G calls a tile
-    return lambda start, stop, out, prev, scratch: np.copyto(out, arr[start:stop].T)
+def _one_tweak(tweak, w: int) -> int:
+    """One checked 4-word tweak as the 4w-bit int ``_kernels.crypt_batch`` takes."""
+    arr = _words(tweak, w, "tweak words")
+    if arr.shape != (4,):
+        raise ValueError(f"expected one 4-word tweak, got shape {arr.shape}")
+    return block_to_int(arr.tolist(), w)
 
 
-def crypt_fast_batch(blocks, tweaks, schedule: AffineSchedule) -> np.ndarray:
-    """Encrypt many blocks under one schedule; tweaks may vary per block.
+def crypt_fast_batch(blocks, tweak, schedule: AffineSchedule) -> np.ndarray:
+    """Encrypt many blocks under one schedule and one tweak.
 
     ``blocks`` is an (nblocks, 4) array of words (or anything convertible),
-    ``tweaks`` one 4-word tweak or an (nblocks, 4) array.
-    Every word must be an integer in [0, 2**w).  Neither array is written.
+    ``tweak`` 4 words; tweak rows raise ValueError.
+    Every word must be an integer in [0, 2**w).  Neither is written.
     Returns the ciphertext words as an (nblocks, 4) array of the width's word dtype.
     """
     w = schedule.width
     x = _as_block_array(blocks, w)
-    return _kernels.crypt_batch(x, _tile_tweak(tweaks, x.shape[0], w), schedule)
+    return _kernels.crypt_batch(x, _one_tweak(tweak, w), 0, schedule)
 
 
-def icrypt_fast_batch(blocks, tweaks, inverse_schedule: AffineSchedule) -> np.ndarray:
+def icrypt_fast_batch(blocks, tweak, inverse_schedule: AffineSchedule) -> np.ndarray:
     """Decrypt many blocks; the batch counterpart of ``icrypt_fast``."""
     w = inverse_schedule.width
     y = _as_block_array(blocks, w)
-    tweak = _tile_tweak(tweaks, y.shape[0], w)
-    return _kernels.crypt_batch(y, tweak, inverse_schedule, _kernels.icrypt_tile)
+    return _kernels.crypt_batch(y, _one_tweak(tweak, w), 0, inverse_schedule, _kernels.icrypt_tile)

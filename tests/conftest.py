@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsabc._kernels import tile_blocks
+from nsabc._kernels import tile_blocks, tile_tweaks
 from nsabc.cipher import word_dtype
-from nsabc.tweakstream import _tile_tweaks
+from nsabc.words import odot
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -32,18 +32,24 @@ def lift(word):
     return np.array([word], dtype=np.uint64)
 
 
+def tweak_progression(tweak_key, first_index, w):
+    """The first tweak and the step ``tweakstream`` hands ``_kernels.crypt_batch`` for the
+    blocks first_index, first_index+1, ... under tweak_key: T(first_index) and 2*T0 + 1."""
+    return odot(tweak_key, first_index, 4 * w), (2 * tweak_key + 1) % (1 << (4 * w))
+
+
 def tile_tweak_rows(tweak_key, first_index, count, w):
     """The tweaks of ``count`` blocks from ``first_index`` as (count, 4) rows, made tile by
-    tile from ``tweakstream._tile_tweaks`` the way one worker of ``_kernels.crypt_batch``
-    asks for them: the first seeded, each later one advanced in place from the one before."""
-    tile = _tile_tweaks(tweak_key, first_index, w, True)
+    tile by ``_kernels.tile_tweaks`` the way one worker of ``_kernels.crypt_batch`` makes
+    them: the first seeded, each later one advanced in place from the one before."""
+    first, step = tweak_progression(tweak_key, first_index, w)
     length = tile_blocks(w)
     space = np.empty((6, min(length, count)), dtype=word_dtype(w))
     rows, prev = [np.empty((0, 4), dtype=word_dtype(w))], None
     for start in range(0, count, length):
         stop = min(start + length, count)
         columns = space[2:, :stop - start]
-        tile(start, stop, columns, prev, space[:2, :stop - start])
+        tile_tweaks(columns, space[:2, :stop - start], first, step, start, prev)
         rows.append(columns.T.copy())
         prev = start
     return np.concatenate(rows)

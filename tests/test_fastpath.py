@@ -26,7 +26,7 @@ from nsabc._kernels import (
     resolve_backend,
     tile_blocks,
 )
-from nsabc.cipher import crypt, decrypt, gbox, round_update, word_dtype
+from nsabc.cipher import block_to_int, crypt, decrypt, gbox, int_to_block, round_update, word_dtype
 from nsabc.fastpath import (
     AffineSchedule,
     affine_expand,
@@ -177,14 +177,10 @@ def test_no_transform_writes_its_schedule(w, rng, monkeypatch, started):
 
     count = tile_blocks(w) + 3
     xs = random_block_array(rng, count, w)
-    tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
-
-    def tweak(start, stop, tw, prev, scratch):
-        np.copyto(tw, tweak_columns)
-
-    out = crypt_batch(xs, tweak, s, handing(crypt_tile))
-    assert np.array_equal(crypt_batch(out, tweak, inv, handing(icrypt_tile)), xs)
-    assert np.array_equal(crypt_batch(xs, tweak, s, arrays_tile), out)
+    tweak = block_to_int(t, w)
+    out = crypt_batch(xs, tweak, 0, s, handing(crypt_tile))
+    assert np.array_equal(crypt_batch(out, tweak, 0, inv, handing(icrypt_tile)), xs)
+    assert np.array_equal(crypt_batch(xs, tweak, 0, s, arrays_tile), out)
     assert len(started) == 3
     assert len(handed) == 6 and all(a is b for a, b in zip(handed, (s, s, inv, inv, s, s)))
     for i in tile_edge_rows(rng, count, w):
@@ -226,9 +222,8 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
     monkeypatch.setattr(_kernels, "_gbox_into", spying(_gbox_into))
     monkeypatch.setattr(_kernels, "_igbox_into", spying(_igbox_into))
     xs = random_block_array(rng, 2 * tile_blocks(w) + 1, w)
-    tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
     for _ in range(2):
-        out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns), s, words)
+        out = crypt_batch(xs, block_to_int(t, w), 0, s, words)
         assert np.array_equal(out, crypt_fast_batch(xs, t, s))
     assert len(seen) == 6 and all(schedule is s for schedule in seen)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
@@ -272,8 +267,7 @@ def test_only_the_numpy_tiles_make_operands(monkeypatch, rng):
             regs = list(round_update(*regs, g, k))
         np.stack(regs, axis=1, out=y)
 
-    tweak_columns = np.array(t, dtype=word_dtype(w))[:, None]
-    out = crypt_batch(xs, lambda start, stop, tw, prev, scratch: np.copyto(tw, tweak_columns), s, words)
+    out = crypt_batch(xs, block_to_int(t, w), 0, s, words)
     assert len(handed) == 2 and all(schedule is s for schedule in handed)
     assert np.array_equal(out, expected)
     for i in tile_edge_rows(rng, count, w):
@@ -543,50 +537,57 @@ def tile_edge_rows(rng, count, w):
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_batch_matches_scalar(w):
+    # every block's tweak differs: tweak-derived runs under random tweak keys from random
+    # first indices, each block checked against the scalar path under its own tweak
     rng = random.Random(w + 5)
-    _, z, t, u = random_tuple(rng, w)
+    _, z, _, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     inv = invert_affine(s)
-    xs = [random_words(rng, 4, w) for _ in range(40)]
-    ts = [random_words(rng, 4, w) for _ in range(40)]
-    out = crypt_fast_batch(np.array(xs, dtype=np.uint64), np.array(ts, dtype=np.uint64), s)
-    for i in range(40):
-        assert tuple(int(v) for v in out[i]) == crypt_fast(xs[i], ts[i], s)
-    back = icrypt_fast_batch(out, np.array(ts, dtype=np.uint64), inv)
-    assert np.array_equal(back, np.array(xs, dtype=np.uint64))
+    top = 1 << (4 * w)
+
+    def check_rows(xa, out, t0, first, rows):
+        for i in rows:
+            tweak = tweak_at(t0, (first + i) % top, w)
+            assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), tweak, s), i
+            assert icrypt_fast(out[i].tolist(), tweak, inv) == tuple(xa[i].tolist()), i
+
+    xs = np.array([random_words(rng, 4, w) for _ in range(40)], dtype=np.uint64)
+    t0, first = rng.randrange(top), rng.randrange(top)
+    out = encrypt_blocks(xs, z, t0, u, w, first_index=first)
+    check_rows(xs, out, t0, first, range(40))
+    assert np.array_equal(decrypt_blocks(out, z, t0, u, w, first_index=first), xs)
     # batches around the kernel's tile edges
     for count in tile_edge_counts(w):
-        xa, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
-        out = crypt_fast_batch(xa, ta, s)
-        for i in tile_edge_rows(rng, count, w):
-            assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
-        assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
+        xa = random_block_array(rng, count, w)
+        t0, first = rng.randrange(top), rng.randrange(top)
+        out = encrypt_blocks(xa, z, t0, u, w, first_index=first)
+        check_rows(xa, out, t0, first, tile_edge_rows(rng, count, w))
+        assert np.array_equal(decrypt_blocks(out, z, t0, u, w, first_index=first), xa)
     # all-zero and all-ones blocks and tweaks across two tile edges: every row of
     # a batch is the one block the scalar path gives, in both directions
     length = tile_blocks(w)
     for xv, tv in ((0, 0), (0, (1 << w) - 1), ((1 << w) - 1, 0), ((1 << w) - 1, (1 << w) - 1)):
-        xa, ta = (np.full((2 * length + 1, 4), v, dtype=word_dtype(w)) for v in (xv, tv))
+        xa = np.full((2 * length + 1, 4), xv, dtype=word_dtype(w))
         for fn, scalar, sched in ((crypt_fast_batch, crypt_fast, s), (icrypt_fast_batch, icrypt_fast, inv)):
             block = np.array(scalar([xv] * 4, [tv] * 4, sched), dtype=word_dtype(w))
-            assert (fn(xa, ta, sched) == block).all(), (fn.__name__, xv, tv)
-        assert np.array_equal(icrypt_fast_batch(crypt_fast_batch(xa, ta, s), ta, inv), xa)
+            assert (fn(xa, [tv] * 4, sched) == block).all(), (fn.__name__, xv, tv)
+        assert np.array_equal(icrypt_fast_batch(crypt_fast_batch(xa, [tv] * 4, s), [tv] * 4, inv), xa)
     # read-only inputs: the kernel updates its registers in place, so a write
     # into caller data instead of the tile copy would raise here
-    xa, ta = random_block_array(rng, length + 1, w), random_block_array(rng, length + 1, w)
+    xa = random_block_array(rng, length + 1, w)
     xa.setflags(write=False)
-    ta.setflags(write=False)
-    out = crypt_fast_batch(xa, ta, s)
+    t0, first = rng.randrange(top), rng.randrange(top)
+    out = encrypt_blocks(xa, z, t0, u, w, first_index=first)
     out.setflags(write=False)
-    for i in tile_edge_rows(rng, length + 1, w):
-        assert tuple(out[i].tolist()) == crypt_fast(xa[i].tolist(), ta[i].tolist(), s)
-    assert np.array_equal(icrypt_fast_batch(out, ta, inv), xa)
+    check_rows(xa, out, t0, first, tile_edge_rows(rng, length + 1, w))
+    assert np.array_equal(decrypt_blocks(out, z, t0, u, w, first_index=first), xa)
     # a tweak-derived run that crosses a tile edge and the wrap of the block index at 2**(4w)
-    t0, count = rng.randrange(1 << (4 * w)), length + 5
-    first = (1 << (4 * w)) - length // 2
+    t0, count = rng.randrange(top), length + 5
+    first = top - length // 2
     xa = random_block_array(rng, count, w)
     out = encrypt_blocks(xa, z, t0, u, w, first_index=first)
     for i in (0, length // 2 - 1, length // 2, length - 1, length, count - 1):
-        index = (first + i) % (1 << (4 * w))
+        index = (first + i) % top
         assert tuple(out[i].tolist()) == encrypt_block_at(xa[i].tolist(), z, t0, u, index, w)
     assert np.array_equal(decrypt_blocks(out, z, t0, u, w, first_index=first), xa)
 
@@ -618,7 +619,7 @@ def test_batch_broadcasts_single_tweak(w, rng):
 
 def batch_calls(w, rng):
     """Each batch path, as a function of the blocks: both directions, tweak-derived
-    from a first index whose tweaks wrap 2**(4w) or untweaked, tweak rows, one tweak."""
+    from a first index whose tweaks wrap 2**(4w) or untweaked, and one tweak."""
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     inv = invert_affine(s)
@@ -628,8 +629,6 @@ def batch_calls(w, rng):
             lambda xs: decrypt_blocks(xs, z, t0, u, w, first_index=first),
             lambda xs: encrypt_blocks(xs, z, t0, u, w, tweaking=False),
             lambda xs: decrypt_blocks(xs, z, t0, u, w, tweaking=False),
-            lambda xs: crypt_fast_batch(xs, xs[::-1], s),
-            lambda xs: icrypt_fast_batch(xs, xs[::-1], inv),
             lambda xs: crypt_fast_batch(xs, t, s),
             lambda xs: icrypt_fast_batch(xs, t, inv)]
 
@@ -700,27 +699,27 @@ def test_threads_under_stress(rng, monkeypatch):
 
 @pytest.mark.threads
 def test_failing_tile_function_stops_every_thread(rng, monkeypatch, started):
-    # a tile function that raises on its 2nd tile makes crypt_batch raise that
-    # exception, once every thread has stopped, whichever thread asked for the tile
+    # a ``words`` that raises on its 2nd tile makes crypt_batch raise that exception,
+    # once every thread has stopped, whichever thread ran the tile
     monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
     w = 64
     length = tile_blocks(w)
     _, z, _, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     xs = random_block_array(rng, 4 * length, w)
-    asked, boom = [], RuntimeError("no tweak for this tile")
+    asked, boom = [], RuntimeError("no output for this tile")
 
-    def tweak(start, stop, out, prev, scratch):
-        asked.append(start)
+    def words(x, y, work, t, schedule):
+        asked.append((x.ctypes.data - xs.ctypes.data) // xs.strides[0])  # the tile's first block
         if len(asked) == 2:
             raise boom
-        return out
+        crypt_tile(x, y, work, t, schedule)
 
     with pytest.raises(RuntimeError) as raised:
-        crypt_batch(xs, tweak, s)
+        crypt_batch(xs, 5, 7, s, words)
     assert raised.value is boom
-    # the workers take tiles 0 and 1 in order, under the lock, but ask for their tweaks
-    # outside it, so either may ask first
+    # the workers take tiles 0 and 1 in order, under the lock, but make their tweaks and
+    # run them outside it, so either may run first
     assert sorted(asked[:2]) == [0, length] and len(asked) <= 3
     assert len(started) == 1 and not started[0].is_alive()
 
@@ -730,14 +729,14 @@ def test_batch_memory_bounded_by_a_tile(rng):
     # tile's 4 registers and their temporaries, whatever the input size;
     # tracemalloc sees numpy's buffers
     w, count = 64, 8 * tile_blocks(64)
-    _, z, _, u = random_tuple(rng, w)
+    _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
-    xs, ts = random_block_array(rng, count, w), random_block_array(rng, count, w)
+    xs = random_block_array(rng, count, w)
     word_columns_of_a_tile = 24 * tile_blocks(w) * word_dtype(w).itemsize
     for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, invert_affine(s))):
         tracemalloc.start()
         try:
-            out = fn(xs, ts, sched)
+            out = fn(xs, t, sched)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -777,26 +776,25 @@ def test_block_memory_does_not_grow_with_the_input(rng):
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_batch_never_writes_caller_arrays(w, rng):
     # the kernel updates its registers in place, on copies of each tile: the
-    # caller's writable block, tweak-row and single-tweak arrays, already in
-    # the word dtype and so handed on without a conversion copy, stay as they were
+    # caller's writable block and tweak arrays, already in the word dtype and so
+    # handed on without a conversion copy, stay as they were
     _, z, t, u = random_tuple(rng, w)
     s = affine_expand(z, u, w)
     inv = invert_affine(s)
     t0 = rng.randrange(1 << (4 * w))
     count = tile_blocks(w) + 1
-    xa, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
+    xa = random_block_array(rng, count, w)
     single = np.array(t, dtype=word_dtype(w))
-    calls = (lambda: crypt_fast_batch(xa, ta, s), lambda: crypt_fast_batch(xa, single, s),
-             lambda: icrypt_fast_batch(xa, ta, inv), lambda: icrypt_fast_batch(xa, single, inv),
+    calls = (lambda: crypt_fast_batch(xa, single, s), lambda: icrypt_fast_batch(xa, single, inv),
              lambda: encrypt_blocks(xa, z, t0, u, w), lambda: decrypt_blocks(xa, z, t0, u, w),
              lambda: encrypt_blocks(xa, z, t0, u, w, tweaking=False))
-    kept = [a.copy() for a in (xa, ta, single)]
+    kept = [a.copy() for a in (xa, single)]
     for i, call in enumerate(calls):
         out = call()
         assert not np.shares_memory(out, xa), i
-        for a, before in zip((xa, ta, single), kept):
+        for a, before in zip((xa, single), kept):
             assert np.array_equal(a, before), i
-    # a read-only single tweak is taken as readily as read-only rows
+    # a read-only tweak is taken as readily as a writable one
     single.setflags(write=False)
     out = crypt_fast_batch(xa, single, s)
     for i in tile_edge_rows(rng, count, w):
@@ -846,28 +844,30 @@ def test_out_must_be_the_blocks(rng):
             fn(read_only, z, 5, u, w, out=read_only)
     assert np.array_equal(xs, kept)
     with pytest.raises(ValueError):
-        crypt_batch(read_only, lambda start, stop, t, prev, scratch: None, s, out=read_only)
+        crypt_batch(read_only, 5, 0, s, out=read_only)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_decrypt_reorder_writes_no_tweak(w, rng):
-    # icrypt_tile reverses the tweak words and never writes them: columns the tile
-    # function marks read-only, on which a write would raise, writable columns,
+    # icrypt_tile reverses the tweak words and never writes them: tweak columns marked
+    # read-only before each tile, on which a write would raise, writable columns,
     # unchanged after each tile, and one tweak's words all give the same plaintext
     _, z, t, u = random_tuple(rng, w)
     inv = invert_affine(affine_expand(z, u, w))
+    top = 1 << (4 * w)
     count = 2 * tile_blocks(w) + 5
-    ya, ta = random_block_array(rng, count, w), random_block_array(rng, count, w)
-    columns = ta.T.copy()
+    ya = random_block_array(rng, count, w)
+    first, step = rng.randrange(top), rng.randrange(top)
 
-    def read_only(start, stop, out, prev, scratch):
-        np.copyto(out, columns[:, start:stop])
-        out.flags.writeable = False
+    def read_only(y, x, work, tw, schedule):
+        tw.flags.writeable = False
+        icrypt_tile(y, x, work, tw, schedule)
 
-    out = crypt_batch(ya, read_only, inv, icrypt_tile)
+    out = crypt_batch(ya, first, step, inv, read_only)
     rows = tile_edge_rows(rng, count, w)
     for i in rows:
-        assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), ta[i].tolist(), inv), i
+        tweak = int_to_block((first + i * step) % top, w)
+        assert tuple(out[i].tolist()) == icrypt_fast(ya[i].tolist(), tweak, inv), i
     seen = []
 
     def words(y, x, work, tw, schedule):
@@ -875,10 +875,7 @@ def test_decrypt_reorder_writes_no_tweak(w, rng):
         icrypt_tile(y, x, work, tw, schedule)
         seen.append(np.array_equal(tw, kept) and tw.flags.writeable)
 
-    def writable(start, stop, tw, prev, scratch):
-        np.copyto(tw, columns[:, start:stop])
-
-    assert np.array_equal(crypt_batch(ya, writable, inv, words), out)
+    assert np.array_equal(crypt_batch(ya, first, step, inv, words), out)
     assert seen == [True] * 3
     single = np.array(t, dtype=word_dtype(w))
     single.setflags(write=False)
@@ -897,12 +894,12 @@ def test_batch_dtype_contract(w, rng):
     inv = invert_affine(s)
     t0 = rng.randrange(1 << (4 * w))
     xs = [random_words(rng, 4, w - 1) for _ in range(6)]  # below 2**(w-1), so int64 holds them
-    ts = [random_words(rng, 4, w - 1) for _ in range(6)]
+    ts = random_words(rng, 4, w - 1)
     # an unsigned dtype narrower than the word (uint8 at w=16, uint16 at w=32, uint32 at
     # w=64) holds only words, so the batch paths take it without scanning its range
     narrow = np.dtype(f"u{w // 16}")
     small_xs = [random_words(rng, 4, 8 * narrow.itemsize) for _ in range(6)]
-    small_ts = [random_words(rng, 4, 8 * narrow.itemsize) for _ in range(6)]
+    small_ts = random_words(rng, 4, 8 * narrow.itemsize)
     calls = (lambda b, tw: crypt_fast_batch(b, tw, s), lambda b, tw: icrypt_fast_batch(b, tw, inv),
              lambda b, _: encrypt_blocks(b, z, t0, u, w), lambda b, _: decrypt_blocks(b, z, t0, u, w))
     for call in calls:
@@ -926,6 +923,41 @@ def test_batch_shape_validation(rng):
         crypt_fast_batch(np.zeros((3, 5), dtype=np.uint64), np.array(t, dtype=np.uint64), s)
     with pytest.raises(ValueError):
         crypt_fast_batch(np.zeros((3, 4), dtype=np.uint64), np.zeros((2, 4), dtype=np.uint64), s)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_batch_refuses_tweak_rows(w, rng):
+    # the batch entry points take one 4-word tweak: tweak rows, one per block or not,
+    # and 4 words in another shape raise ValueError
+    _, z, t, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    xs = random_block_array(rng, 3, w)
+    for fn, sched in ((crypt_fast_batch, s), (icrypt_fast_batch, inv)):
+        for tweaks in (random_block_array(rng, 3, w), [t] * 3, np.array([t], dtype=word_dtype(w)),
+                       np.array(t, dtype=word_dtype(w)).reshape(2, 2)):
+            with pytest.raises(ValueError):
+                fn(xs, tweaks, sched)
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_constant_tweak_through_crypt_batch(w, rng):
+    # step 0 gives every block the first tweak: crypt_batch under (tweak, 0) equals
+    # crypt_fast / icrypt_fast under that tweak block by block, for every block of a
+    # short call and at the tile edges of a long one, also for all-zero and all-ones tweaks
+    _, z, t, u = random_tuple(rng, w)
+    s = affine_expand(z, u, w)
+    inv = invert_affine(s)
+    for count in (40, 2 * tile_blocks(w) + 5):
+        xs = random_block_array(rng, count, w)
+        rows = range(count) if count == 40 else tile_edge_rows(rng, count, w)
+        for tweak in (t, (0,) * 4, ((1 << w) - 1,) * 4):
+            first = block_to_int(tweak, w)
+            out, back = crypt_batch(xs, first, 0, s), crypt_batch(xs, first, 0, inv, icrypt_tile)
+            for i in rows:
+                assert tuple(out[i].tolist()) == crypt_fast(xs[i].tolist(), tweak, s), (tweak, i)
+                assert tuple(back[i].tolist()) == icrypt_fast(xs[i].tolist(), tweak, inv), (tweak, i)
+            assert np.array_equal(crypt_batch(out, first, 0, inv, icrypt_tile), xs)
 
 
 @pytest.mark.parametrize("w", [16, 32, 64])
@@ -955,7 +987,7 @@ def test_batch_rejects_bad_words(w):
                 fn(blocks, z, t0, u, w)
     calls = []
 
-    def tile(start, stop):  # a tile function, with an out-of-range word in 1-element columns
+    def tile(start, stop):  # a function for a tweak, with an out-of-range word in 1-element columns
         calls.append((start, stop))
         return [np.array([over], dtype=np.uint64)] * 4
 

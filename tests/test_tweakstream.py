@@ -9,11 +9,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_tuple, random_words, tile_tweak_rows
-from nsabc._kernels import tile_blocks
+from conftest import random_tuple, random_words, tile_tweak_rows, tweak_progression
+from nsabc._kernels import SEED_BLOCKS, tile_blocks, tile_tweaks
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
-from nsabc.tweakstream import SEED_BLOCKS, _tile_tweaks, decrypt_blocks, encrypt_blocks, tweak_at
+from nsabc.tweakstream import decrypt_blocks, encrypt_blocks, tweak_at
 
 T0_16 = 0x0001002203334444
 
@@ -37,7 +37,8 @@ def test_tweak_at_zero_key_yields_index():
 
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_closed_form_equals_recurrence(w, rng):
-    # the tweaks the batch paths encrypt under, made tile by tile, are the closed
+    # the tweaks the batch paths encrypt under, made tile by tile by ``tile_tweaks``
+    # from the first tweak and step ``tweakstream`` hands the kernel, are the closed
     # form of each block index, also for a run that crosses the wrap at 2**(4w)
     top = 1 << (4 * w)
     # a random key, the extreme keys, and one whose bits are all ones above
@@ -53,7 +54,7 @@ def test_closed_form_equals_recurrence(w, rng):
     # runs across the tile boundary, sampled around it and at random; with key
     # top - 1 every bit of every step limb is set, so the limb sums of a full tile
     # reach about 2**33 / 2**48 / 2**47 at w=16/32/64 (the one-pass carry bound
-    # of ``_tile_tweaks``), and from index 0 every base
+    # of ``_kernels._sums``), and from index 0 every base
     # limb is all ones too, while from top - 1 a carry crosses every limb
     length = tile_blocks(w)
     count = length + 77
@@ -107,7 +108,7 @@ def test_advanced_tiles_equal_the_closed_form(w, rng):
 @pytest.mark.threads
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
-    # the tile function keeps no state: columns that hold tile p, advanced in place
+    # ``tile_tweaks`` keeps no state: columns that hold tile p, advanced in place
     # to any later tile k, equal tile k seeded afresh and the tweaks of its ends.  The
     # pairs include tiles that are not adjacent (a worker's tiles, when another took
     # the ones between) and the short last tile advanced from a full one.  Scratch rows
@@ -118,7 +119,7 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
     spans = [(start, min(start + length, count)) for start in range(0, count, length)]
     dtype = word_dtype(w)
     for t0, first in ((top - 1, top - 5), (rng.randrange(top), rng.randrange(top))):
-        tile = _tile_tweaks(t0, first, w, True)
+        base, step = tweak_progression(t0, first, w)
 
         def ends_match(columns, start, stop):
             return all(tuple(int(c[j - start]) for c in columns) == tweak_at(t0, (first + j) % top, w)
@@ -127,7 +128,7 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
         fresh = []
         for start, stop in spans:
             space = np.full((6, stop - start), np.iinfo(dtype).max, dtype)
-            tile(start, stop, space[2:], None, space[:2])
+            tile_tweaks(space[2:], space[:2], base, step, start, None)
             assert ends_match(space[2:], start, stop), start
             fresh.append(space[2:])
         for p, k in itertools.combinations(range(len(spans)), 2):
@@ -135,10 +136,10 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
             space = np.full((6, length), np.iinfo(dtype).max, dtype)
             space[2:] = fresh[p]
             columns = space[2:, :stop - start]
-            tile(start, stop, columns, prev, space[:2, :stop - start])
+            tile_tweaks(columns, space[:2, :stop - start], base, step, start, prev)
             assert np.array_equal(columns, fresh[k]) and ends_match(columns, start, stop), (p, k)
 
-        # one tile function on two threads at once, each seeding its first tile and
+        # ``tile_tweaks`` on two threads at once, each seeding its first tile and
         # advancing it through every other tile in its own columns, as two workers do
         got = [None] * len(spans)
         barrier = threading.Barrier(2, timeout=60)
@@ -148,7 +149,7 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
             barrier.wait()
             for k in ks:
                 start, stop = spans[k]
-                tile(start, stop, space[2:, :stop - start], prev, space[:2, :stop - start])
+                tile_tweaks(space[2:, :stop - start], space[:2, :stop - start], base, step, start, prev)
                 got[k] = space[2:, :stop - start].copy()
                 prev = start
 
