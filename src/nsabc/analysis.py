@@ -45,16 +45,19 @@ class AnalysisReport:
         return f"[{status}] {self.name} (w={self.width})\n{body}"
 
 
-def _require_w16(w: int, name: str) -> None:
-    if w != 16:
-        raise ValueError(f"{name} sweeps the full word space exhaustively and needs --width 16")
-
-
 def _seeded(samples: int, seed: int | None) -> random.Random:
     """The random source of a check; a check with no samples would test nothing."""
     if samples < 1:
         raise ValueError("samples must be positive")
     return random.Random(seed)
+
+
+def _exhaustive(name: str, w: int, samples: int, seed: int | None) -> tuple[random.Random, np.ndarray, AnalysisReport]:
+    """The random source, every w-bit word and an empty passing report of a check that
+    sweeps the whole word space, which it does only at w=16."""
+    if w != 16:
+        raise ValueError(f"{name} sweeps the full word space exhaustively and needs --width 16")
+    return _seeded(samples, seed), np.arange(1 << w, dtype=word_dtype(w)), AnalysisReport(name, w, True)
 
 
 def _lift(w: int, *words) -> np.ndarray:
@@ -67,54 +70,46 @@ def _param_sets(rng: random.Random, w: int, count: int):
     return [tuple(rng.randrange(top) for _ in range(5)) for _ in range(count)]
 
 
+def _params_text(k0: int, k1: int, l0: int, l1: int, c0: int) -> str:
+    return f"params K=({k0:04X},{k1:04X}) L=({l0:04X},{l1:04X}) C={c0:04X}"
+
+
 def gbox_bijectivity(w: int = 16, samples: int = 8, seed: int | None = None) -> AnalysisReport:
     """Exhaustively verify G permutes both the text word and the key word K0."""
-    _require_w16(w, "gbox-bijectivity")
-    rng = _seeded(samples, seed)
-    sweep = np.arange(1 << w, dtype=word_dtype(w))
-    report = AnalysisReport("gbox-bijectivity", w, True)
-    for k0, k1, l0, l1, c0 in _param_sets(rng, w, samples):
+    rng, sweep, report = _exhaustive("gbox-bijectivity", w, samples, seed)
+    for params in _param_sets(rng, w, samples):
         x0 = rng.randrange(1 << w)
-        words = _lift(w, x0, k0, k1, l0, l1, c0)
+        words = _lift(w, x0, *params)
         x_perm = np.unique(gbox(sweep, *words[1:], w)).size == 1 << w
         k_perm = np.unique(gbox(words[0], sweep, *words[2:], w)).size == 1 << w
         report.ok &= x_perm and k_perm
-        report.lines.append(
-            f"params K=({k0:04X},{k1:04X}) L=({l0:04X},{l1:04X}) C={c0:04X}: "
-            f"x-permutation={x_perm} K0-permutation={k_perm}")
+        report.lines.append(f"{_params_text(*params)}: x-permutation={x_perm} K0-permutation={k_perm}")
     return report
 
 
 def gbox_diffusion(w: int = 16, samples: int = 8, seed: int | None = None) -> AnalysisReport:
     """Exhaustively verify the unaffected output bit range w/2..v-1 per input bit v."""
-    _require_w16(w, "gbox-diffusion")
-    rng = _seeded(samples, seed)
+    rng, sweep, report = _exhaustive("gbox-diffusion", w, samples, seed)
     half = w // 2
-    sweep = np.arange(1 << w, dtype=word_dtype(w))
-    report = AnalysisReport("gbox-diffusion", w, True)
-    for k0, k1, l0, l1, c0 in _param_sets(rng, w, samples):
-        params = _lift(w, k0, k1, l0, l1, c0)
-        base = gbox(sweep, *params, w)
+    for params in _param_sets(rng, w, samples):
+        lifted = _lift(w, *params)
+        base = gbox(sweep, *lifted, w)
         worst = []
         for v in range(half + 1, w):
-            flipped = gbox(sweep ^ (1 << v), *params, w)
+            flipped = gbox(sweep ^ (1 << v), *lifted, w)
             protected = ((1 << (v - half)) - 1) << half
             hit = bool(np.any((base ^ flipped) & protected))
             if hit:
                 worst.append(v)
         report.ok &= not worst
-        report.lines.append(
-            f"params K=({k0:04X},{k1:04X}) L=({l0:04X},{l1:04X}) C={c0:04X}: "
-            + ("all protected ranges clean" if not worst else f"leaks at input bits {worst}"))
+        report.lines.append(f"{_params_text(*params)}: "
+                            + ("all protected ranges clean" if not worst else f"leaks at input bits {worst}"))
     return report
 
 
 def gbox_identity(w: int = 16, samples: int = 8, seed: int | None = None) -> AnalysisReport:
     """Exhaustively verify G is the identity when (K0,K1)=(L0,L1) and C0=0."""
-    _require_w16(w, "gbox-identity")
-    rng = _seeded(samples, seed)
-    sweep = np.arange(1 << w, dtype=word_dtype(w))
-    report = AnalysisReport("gbox-identity", w, True)
+    rng, sweep, report = _exhaustive("gbox-identity", w, samples, seed)
     for _ in range(samples):
         c = rng.randrange(1 << w)
         c2 = rng.randrange(1 << w)

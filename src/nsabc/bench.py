@@ -1,20 +1,20 @@
-"""Throughput benchmark: reference path vs. the fast paths.
+"""Throughput benchmark: reference path vs. the fast paths, and the set-up stages beside them.
 
-Measures repeated-key bulk encryption (schedules precomputed once, as a real
-bulk workload would) and reports bytes/second per path, and beside it the
-microseconds per call of the schedule set-up that a fresh key pays
-(``affine_expand`` and ``invert_affine``), of the tweak columns of one tile
-of ``_kernels.tile_blocks(w)`` blocks (``_kernels.tile_tweaks`` on a
+Each row of the report is one ``Timing``: repeated calls of one path or stage at
+one width.  The paths encrypt blocks under schedules precomputed once, as a real
+bulk workload would, and are reported in bytes/second.  The stages encrypt no
+blocks and are reported in microseconds per call: the schedule set-up that a
+fresh key pays (``affine_expand``, ``invert_affine``), the tweak columns of one
+tile of ``_kernels.tile_blocks(w)`` blocks (``_kernels.tile_tweaks`` on a
 worker's first tile, seeded from limbs, and on a later one, advanced in place
-from the one before) and of the 32 rounds of one such tile in each direction
-(``crypt_tile``, ``icrypt_tile``), in a preallocated workspace.  For each
-width it names the tile length and the number of threads the batch kernel runs a
-fast-batch call and a 4 MiB call on, with the reason.  When a CPU frequency
-is readable, an estimated cycles/byte figure is derived from it so the
-numbers can be eyeballed against the paper's own figure for its x86-64
-software implementation (circa 9 cpb at w=64, from its abstract); that
-figure is hardware-bound context, not a target this build enforces.  The
-one enforced expectation is fast path >= reference on the same machine.
+from the one before) and the 32 rounds of one such tile in each direction
+(``crypt_tile``, ``icrypt_tile``), in a preallocated workspace.  For each width
+the report names the tile length and the threads the batch kernel runs a
+fast-batch call and a 4 MiB call on, with the reason.  When a CPU frequency is
+readable, a cycles/byte estimate sits beside the paper's own figure for its
+x86-64 software (circa 9 cpb at w=64, from its abstract): hardware-bound
+context, not a target.  The one enforced expectation is fast path >= reference
+on the same machine.
 """
 
 from __future__ import annotations
@@ -40,11 +40,18 @@ HAND_TUNED_CPB_CONTEXT = "the paper's x86-64 software figure: circa 9 cpb (w=64)
 
 
 @dataclass(frozen=True)
-class BenchResult:
-    path: str
+class Timing:
+    """Repeated calls of one path or set-up stage at one width; ``blocks`` is 0 for a stage."""
+
+    name: str
     width: int
+    calls: int
     blocks: int
     seconds: float
+
+    @property
+    def us_per_call(self) -> float:
+        return self.seconds / self.calls * 1e6
 
     @property
     def bytes_per_second(self) -> float:
@@ -54,20 +61,6 @@ class BenchResult:
         if hz is None or self.blocks == 0:
             return None
         return hz * self.seconds / (self.blocks * (self.width // 2))
-
-
-@dataclass(frozen=True)
-class SetupResult:
-    """Repeated calls of one set-up or tweak stage at one width."""
-
-    stage: str
-    width: int
-    calls: int
-    seconds: float
-
-    @property
-    def us_per_call(self) -> float:
-        return self.seconds / self.calls * 1e6
 
 
 def estimate_cpu_hz() -> tuple[float, str] | None:
@@ -87,17 +80,17 @@ def estimate_cpu_hz() -> tuple[float, str] | None:
     return None
 
 
-def _measure(fn, seconds: float, blocks_per_call: int) -> tuple[int, float]:
-    """Call fn repeatedly for at least ``seconds``; return (blocks, elapsed)."""
+def _measure(name: str, w: int, fn, seconds: float, blocks_per_call: int = 0) -> Timing:
+    """Call fn repeatedly for at least ``seconds``, after one warm-up call."""
     fn()  # warm up (caches)
-    total = 0
+    calls = 0
     start = time.perf_counter()
     while True:
         fn()
-        total += blocks_per_call
+        calls += 1
         elapsed = time.perf_counter() - start
         if elapsed >= seconds:
-            return total, elapsed
+            return Timing(name, w, calls, calls * blocks_per_call, elapsed)
 
 
 def _inputs(w: int, seconds: float, seed: int) -> tuple[random.Random, tuple, tuple, int, tuple]:
@@ -114,50 +107,31 @@ def _inputs(w: int, seconds: float, seed: int) -> tuple[random.Random, tuple, tu
     return rng, z, t, u, x
 
 
-def bench_width(w: int, seconds: float, seed: int = 0) -> list[BenchResult]:
-    """Benchmark the reference, scalar fast and batch paths at one width."""
+def bench_width(w: int, seconds: float, seed: int = 0) -> list[Timing]:
+    """The rows of one width, in report order: the three paths, then the set-up stages."""
     rng, z, t, u, x = _inputs(w, seconds, seed)
-    top = 1 << w
-
+    first, step = rng.randrange(1 << (4 * w)), rng.randrange(1 << (4 * w))
+    dtype = word_dtype(w)
     ks, ls, cs = key_expand(z, w), unit_expand(u, w), tweak_expand(t, w)
     schedule = affine_expand(z, u, w)
-    batch = np.array([[rng.randrange(top) for _ in range(4)] for _ in range(BATCH_BLOCKS)],
-                     dtype=word_dtype(w))
-    t_arr = np.array(t, dtype=word_dtype(w))
-
-    return [
-        BenchResult("reference", w, *_measure(lambda: crypt(x, ks, ls, cs, w), seconds, 1)),
-        BenchResult("fast", w, *_measure(lambda: crypt_fast(x, t, schedule), seconds, 1)),
-        BenchResult("fast-batch", w,
-                    *_measure(lambda: crypt_fast_batch(batch, t_arr, schedule), seconds, BATCH_BLOCKS)),
-    ]
-
-
-def bench_setup(w: int, seconds: float, seed: int = 0) -> list[SetupResult]:
-    """Time the schedule set-up of one key at one width, expansion then inversion, the
-    tweak columns of a first tile and of a later tile advanced in place from the one before, and
-    one tile's encryption and decryption.  These stay out of ``bench_width``: they are not paths."""
-    rng, z, _, u, _ = _inputs(w, seconds, seed)
-    schedule = affine_expand(z, u, w)
     inverse = invert_affine(schedule)
-    first, step = rng.randrange(1 << (4 * w)), rng.randrange(1 << (4 * w))
+    batch = np.array([[rng.randrange(1 << w) for _ in range(4)] for _ in range(BATCH_BLOCKS)], dtype=dtype)
     length = tile_blocks(w)
-    dtype = word_dtype(w)
     # as the kernel hands them to a worker: its workspace, whose G output and rotation rows
     # are the carries of ``tile_tweaks``, and tweak columns, seeded by the first tile timed
-    work, t = np.empty((6, length), dtype), np.empty((4, length), dtype)
-    scratch = work[4:]
-    x = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
-    y = np.empty_like(x)
+    work, tweaks = np.empty((6, length), dtype), np.empty((4, length), dtype)
+    tile = np.random.default_rng(rng.randrange(1 << 32)).integers(0, 1 << w, (length, 4), np.uint64).astype(dtype)
+    out = np.empty_like(tile)
     return [
-        SetupResult("affine_expand", w, *_measure(lambda: affine_expand(z, u, w), seconds, 1)),
-        SetupResult("invert_affine", w, *_measure(lambda: invert_affine(schedule), seconds, 1)),
-        SetupResult("tweak_first_tile", w,
-                    *_measure(lambda: tile_tweaks(t, scratch, first, step, 0, None), seconds, 1)),
-        SetupResult("tweak_advanced_tile", w,
-                    *_measure(lambda: tile_tweaks(t, scratch, first, step, length, 0), seconds, 1)),
-        SetupResult("tile_encrypt", w, *_measure(lambda: crypt_tile(x, y, work, t, schedule), seconds, 1)),
-        SetupResult("tile_decrypt", w, *_measure(lambda: icrypt_tile(x, y, work, t, inverse), seconds, 1)),
+        _measure("reference", w, lambda: crypt(x, ks, ls, cs, w), seconds, 1),
+        _measure("fast", w, lambda: crypt_fast(x, t, schedule), seconds, 1),
+        _measure("fast-batch", w, lambda: crypt_fast_batch(batch, t, schedule), seconds, BATCH_BLOCKS),
+        _measure("affine_expand", w, lambda: affine_expand(z, u, w), seconds),
+        _measure("invert_affine", w, lambda: invert_affine(schedule), seconds),
+        _measure("tweak_first_tile", w, lambda: tile_tweaks(tweaks, work[4:], first, step, 0, None), seconds),
+        _measure("tweak_advanced_tile", w, lambda: tile_tweaks(tweaks, work[4:], first, step, length, 0), seconds),
+        _measure("tile_encrypt", w, lambda: crypt_tile(tile, out, work, tweaks, schedule), seconds),
+        _measure("tile_decrypt", w, lambda: icrypt_tile(tile, out, work, tweaks, inverse), seconds),
     ]
 
 
@@ -172,9 +146,9 @@ def workers_line(w: int) -> str:
     return f"{'workers':<20} {w:>3} tile {length} blocks; " + "; ".join(calls)
 
 
-def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
-                  setup: Sequence[SetupResult] = ()) -> str:
-    """``clock`` is the (hz, source) pair of ``estimate_cpu_hz``; no key material is printed."""
+def render_report(timings: Sequence[Timing], clock: tuple[float, str] | None) -> str:
+    """The rows that encrypt blocks as MB/s, and the set-up stages as us/call; ``clock`` is the
+    (hz, source) pair of ``estimate_cpu_hz``.  No key material is printed."""
     lines = []
     if clock is not None:
         hz, source = clock
@@ -185,23 +159,19 @@ def render_report(results: list[BenchResult], clock: tuple[float, str] | None,
     lines.append(f"context: {HAND_TUNED_CPB_CONTEXT}")
     lines.append("")
     lines.append(f"{'path':<20} {'w':>3} {'MB/s':>10} {'cycles/byte':>12}")
-    for r in results:
-        cpb = r.cycles_per_byte(hz)
-        cpb_text = f"{cpb:12.1f}" if cpb is not None else f"{'-':>12}"
-        lines.append(f"{r.path:<20} {r.width:>3} {r.bytes_per_second / 1e6:>10.3f} {cpb_text}")
-    if setup:
-        lines.append("")
-        lines.append(f"{'set-up, tiles':<20} {'w':>3} {'us/call':>10}")
-        for s in setup:
-            lines.append(f"{s.stage:<20} {s.width:>3} {s.us_per_call:>10.1f}")
+    for r in timings:
+        if r.blocks:
+            cpb = r.cycles_per_byte(hz)
+            cpb_text = f"{cpb:12.1f}" if cpb is not None else f"{'-':>12}"
+            lines.append(f"{r.name:<20} {r.width:>3} {r.bytes_per_second / 1e6:>10.3f} {cpb_text}")
     lines.append("")
-    lines.extend(workers_line(w) for w in sorted({r.width for r in (*results, *setup)}))
+    lines.append(f"{'set-up, tiles':<20} {'w':>3} {'us/call':>10}")
+    lines.extend(f"{r.name:<20} {r.width:>3} {r.us_per_call:>10.1f}" for r in timings if not r.blocks)
+    lines.append("")
+    lines.extend(workers_line(w) for w in sorted({r.width for r in timings}))
     return "\n".join(lines)
 
 
-def run(widths=DEFAULT_WIDTHS, seconds: float = 1.0, seed: int = 0) -> tuple[str, list[BenchResult]]:
-    results, setup = [], []
-    for w in widths:
-        results.extend(bench_width(w, seconds, seed))
-        setup.extend(bench_setup(w, seconds, seed))
-    return render_report(results, estimate_cpu_hz(), setup), results
+def run(widths=DEFAULT_WIDTHS, seconds: float = 1.0, seed: int = 0) -> str:
+    """The report of every width's paths and set-up stages."""
+    return render_report([r for w in widths for r in bench_width(w, seconds, seed)], estimate_cpu_hz())

@@ -46,9 +46,12 @@ EXIT_FORMAT = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
 
-_KEY_ENV = "NSABC_KEY"
-_TWEAK_ENV = "NSABC_TWEAK_KEY"
-_UNIT_ENV = "NSABC_UNIT_KEY"
+#: the key material flags: (flag, environment variable, words per w, help)
+_KEY_FLAGS = (
+    ("--key", "NSABC_KEY", 5, "5w-bit key"),
+    ("--tweak-key", "NSABC_TWEAK_KEY", 4, "4w-bit tweak key"),
+    ("--unit-key", "NSABC_UNIT_KEY", 1, "w-bit unit key"),
+)
 
 
 class UsageError(Exception):
@@ -72,18 +75,11 @@ def _parse_hex(text: str, bits: int, what: str) -> int:
 
 def _key_material(args, w: int):
     """Resolve (key words, wide tweak key, unit key) from flags or environment."""
-    key_hex = args.key or os.environ.get(_KEY_ENV)
-    tweak_hex = args.tweak_key or os.environ.get(_TWEAK_ENV)
-    unit_hex = args.unit_key or os.environ.get(_UNIT_ENV)
-    if not key_hex:
-        raise UsageError(f"missing --key (or {_KEY_ENV})")
-    if not tweak_hex:
-        raise UsageError(f"missing --tweak-key (or {_TWEAK_ENV})")
-    if not unit_hex:
-        raise UsageError(f"missing --unit-key (or {_UNIT_ENV})")
-    z = _parse_hex(key_hex, 5 * w, "--key")
-    t0 = _parse_hex(tweak_hex, 4 * w, "--tweak-key")
-    u = _parse_hex(unit_hex, w, "--unit-key")
+    texts = [getattr(args, flag[2:].replace("-", "_")) or os.environ.get(env) for flag, env, _, _ in _KEY_FLAGS]
+    for text, (flag, env, _, _) in zip(texts, _KEY_FLAGS):
+        if not text:
+            raise UsageError(f"missing {flag} (or {env})")
+    z, t0, u = (_parse_hex(text, words * w, flag) for text, (flag, _, words, _) in zip(texts, _KEY_FLAGS))
     return split_words(z, KEY_WORDS, w), t0, u
 
 
@@ -126,15 +122,19 @@ def _write_output(path: str, write) -> None:
     else:
         mode = stat.S_IMODE(st.st_mode)
     target = os.path.realpath(path)  # through a symlink, as opening it would
+    # these two errors name the temporary file, which the user never asked for
     try:
         fd, tmp = tempfile.mkstemp(prefix=".nsabc-", dir=os.path.dirname(target))
     except OSError as ex:
-        raise OSError(f"cannot write {path}: {ex}") from ex
+        raise OSError(f"cannot write {path}: {ex.strerror}") from ex
     try:
         with open(fd, "wb") as fh:
             os.fchmod(fh.fileno(), mode)
             write(fh)
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as ex:
+            raise OSError(f"cannot write {path}: {ex.strerror}") from ex
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -182,7 +182,7 @@ def cmd_bench(args) -> int:
     widths = (args.width,) if args.width is not None else bench.DEFAULT_WIDTHS
     seconds = args.seconds if args.seconds is not None else 1.0
     try:
-        report, _ = bench.run(widths, seconds, seed=args.seed or 0)
+        report = bench.run(widths, seconds, seed=args.seed or 0)
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
     print(report)
@@ -211,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_key_flags(p):
-        p.add_argument("--key", help=f"5w-bit key, high-first hex (or {_KEY_ENV})")
-        p.add_argument("--tweak-key", help=f"4w-bit tweak key, high-first hex (or {_TWEAK_ENV})")
-        p.add_argument("--unit-key", help=f"w-bit unit key, high-first hex (or {_UNIT_ENV})")
+        for flag, env, _, what in _KEY_FLAGS:
+            p.add_argument(flag, help=f"{what}, high-first hex (or {env})")
 
     enc = sub.add_parser("encrypt", help="encrypt a file into a container")
     enc.add_argument("--width", type=int, choices=CIPHER_WIDTHS, default=16)

@@ -254,13 +254,28 @@ def test_width_conflict_is_usage_error(tmp_path):
     assert run("decrypt", "--width", "32", *key_args(), "--in", str(ct), "--out", str(out)) == EXIT_USAGE
 
 
-def test_io_errors(tmp_path):
+def test_io_errors(tmp_path, monkeypatch, capsys):
     assert run("encrypt", "--width", "16", *key_args(),
                "--in", str(tmp_path / "missing.bin"), "--out", str(tmp_path / "c")) == EXIT_IO
     src = tmp_path / "p"
     src.write_bytes(b"x")
-    assert run("encrypt", "--width", "16", *key_args(), "--in", str(src),
-               "--out", str(tmp_path / "no" / "such" / "dir" / "c")) == EXIT_IO
+    capsys.readouterr()
+    # a failed --out names the path given, not the temporary file written beside it,
+    # whether making that file fails or renaming it over the target does
+    out = tmp_path / "no" / "such" / "dir" / "c"
+    assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(out)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: " in err and ".nsabc-" not in err
+
+    def refuse(tmp, target):
+        raise PermissionError(13, "Permission denied", tmp, target)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "c"
+    assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(out)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: Permission denied" in err and ".nsabc-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
 
 
 def test_kat_verifies(capsys):
@@ -295,6 +310,16 @@ def test_bench_quick(capsys):
     out = capsys.readouterr().out
     assert "reference" in out
     assert "fast-batch" in out
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_bench_width_times_every_path_and_stage_once(w):
+    # one list of one record per width: the paths, which encrypt blocks, then the stages
+    rows = nsabc.bench.bench_width(w, 0.01, 5)
+    assert [r.name for r in rows] == ["reference", "fast", "fast-batch", "affine_expand", "invert_affine",
+                                      "tweak_first_tile", "tweak_advanced_tile", "tile_encrypt", "tile_decrypt"]
+    assert all(r.width == w and r.calls >= 1 for r in rows)
+    assert [r.name for r in rows if r.blocks > 0] == ["reference", "fast", "fast-batch"]
 
 
 def test_bench_reports_schedule_setup_without_key_material(capsys):
