@@ -8,12 +8,15 @@ fresh key pays (``affine_expand``, ``invert_affine``), the tweak columns of one
 tile of ``_kernels.tile_blocks(w)`` blocks (``_kernels.tile_tweaks`` on a
 worker's first tile, seeded from limbs, and on a later one, advanced in place
 from the one before) and the 32 rounds of one such tile in each direction
-(``crypt_tile``, ``icrypt_tile``), in a preallocated workspace.  For each width
-the report names the tile length and the threads the batch kernel runs a
-fast-batch call and a 4 MiB call on, with the reason.  When a CPU frequency is
-readable, a cycles/byte estimate sits beside the paper's own figure for its
-x86-64 software (circa 9 cpb at w=64, from its abstract): hardware-bound
-context, not a target.  The one enforced expectation is fast path >= reference
+(``crypt_tile``, ``icrypt_tile``), in a preallocated workspace.  The report's
+first line names the set-up route (``_native.route()``).  On the compiled route
+the expansion, inversion and tweak rows time compiled code, which seeds every
+tile, so the two tweak rows time the same work.  For each width the report
+names the tile length and the threads the batch kernel runs a fast-batch call
+and a 4 MiB call on, with the reason.  When a CPU frequency is readable, a
+cycles/byte estimate sits beside the paper's own figure for its x86-64
+software (circa 9 cpb at w=64, from its abstract): hardware-bound context,
+not a target.  The one enforced expectation is fast path >= reference
 on the same machine.
 """
 
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._kernels import MAX_WORKERS, crypt_tile, icrypt_tile, tile_blocks, tile_tweaks, usable_cpus, worker_count
 from .cipher import crypt, word_dtype
 from .fastpath import affine_expand, crypt_fast, crypt_fast_batch, invert_affine
@@ -147,9 +151,9 @@ def workers_line(w: int) -> str:
 
 
 def render_report(timings: Sequence[Timing], clock: tuple[float, str] | None) -> str:
-    """The rows that encrypt blocks as MB/s, and the set-up stages as us/call; ``clock`` is the
-    (hz, source) pair of ``estimate_cpu_hz``.  No key material is printed."""
-    lines = []
+    """The set-up route, the rows that encrypt blocks as MB/s, and the set-up stages as us/call;
+    ``clock`` is the (hz, source) pair of ``estimate_cpu_hz``.  No key material is printed."""
+    lines = [f"set-up route: {_native.route()}"]
     if clock is not None:
         hz, source = clock
         lines.append(f"cycles/byte estimated from a {hz / 1e9:.2f} GHz clock ({source})")

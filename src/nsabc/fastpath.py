@@ -18,10 +18,12 @@ the first tweak of a run and its step).
 
 An ``AffineSchedule`` holds its m and n as tuples of ints and once more as
 read-only arrays of that dtype, and no transform writes to it.
-``affine_expand`` and ``invert_affine`` derive those arrays with word-dtype
-arithmetic, whose wrap does every reduction; their words are not scanned
-again, while a schedule built by hand is checked word by word.
-Key and unit key are validated by the schedule expansions they feed.
+``affine_expand`` and ``invert_affine`` derive those arrays in the compiled
+set-up (``_native``), or where it is not in use with word-dtype arithmetic
+(``numpy_affine_expand``, ``numpy_invert_affine``), whose wrap does every
+reduction; their words are not scanned again, while a schedule built by hand
+is checked word by word.  Key and unit key are checked before either derives
+anything.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _native
 from .cipher import block_to_int, check_block, word_dtype
-from .schedules import check_tweak, key_expand, unit_expand
+from .schedules import check_key, check_tweak, check_unit_key, key_expand, unit_expand
 from .words import check_cipher_width, check_word, mod_inverse
 
 
@@ -86,8 +88,21 @@ class AffineSchedule:
 def affine_expand(key, unit_key, w: int) -> AffineSchedule:
     """Expand key material straight into the affine half-round constants.
 
-    ``key_expand`` and ``unit_expand`` check the key and unit key; m and n are
-    then word-dtype array arithmetic, whose wrap at w bits does every reduction.
+    The key and unit key are checked as ``key_expand`` and ``unit_expand``
+    check them; m and n then come from the compiled set-up, or where it is not
+    in use from ``numpy_affine_expand``.
+    """
+    native = _native.library()
+    if native is None:
+        return numpy_affine_expand(key, unit_key, w)
+    return AffineSchedule._derived(w, *native.expand(check_key(key, w), check_unit_key(unit_key, w), w))
+
+
+def numpy_affine_expand(key, unit_key, w: int) -> AffineSchedule:
+    """``affine_expand`` by word-dtype array arithmetic, whose wrap at w bits does every
+    reduction: the fallback of the compiled set-up and its cross-check.
+
+    ``key_expand`` and ``unit_expand`` check the key and unit key.
     """
     dtype = word_dtype(w)
     k = np.array(key_expand(key, w), dtype)
@@ -109,8 +124,19 @@ def invert_affine(schedule: AffineSchedule) -> AffineSchedule:
     The inverse of x -> m*x + n is x -> m'*x + n' with m' = m**-1 and
     n' = -n * m**-1; decryption consumes the half-rounds in reverse order,
     so entry k inverts entry 63-k.  A fresh schedule is returned, which makes
-    the in-place aliasing hazard of overlapping inputs impossible.
+    the in-place aliasing hazard of overlapping inputs impossible.  Its words
+    come from the compiled set-up, or where it is not in use from
+    ``numpy_invert_affine``.
     """
+    native = _native.library()
+    if native is None:
+        return numpy_invert_affine(schedule)
+    return AffineSchedule._derived(schedule.width, *native.invert(*schedule.arrays, schedule.width))
+
+
+def numpy_invert_affine(schedule: AffineSchedule) -> AffineSchedule:
+    """``invert_affine`` by word-dtype array arithmetic (``words.mod_inverse``): the fallback
+    of the compiled set-up and its cross-check."""
     m, n = (a[::-1] for a in schedule.arrays)
     im = mod_inverse(m, schedule.width)
     return AffineSchedule._derived(schedule.width, im, -n * im)

@@ -12,7 +12,7 @@ import pytest
 import nsabc.bench
 import nsabc.container
 import nsabc.kat
-from nsabc import _kernels
+from nsabc import _kernels, _native
 from nsabc.cipher import int_to_block
 from nsabc.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from nsabc.fastpath import affine_expand, invert_affine
@@ -323,17 +323,23 @@ def test_bench_width_times_every_path_and_stage_once(w):
 
 
 def test_bench_reports_schedule_setup_without_key_material(capsys):
-    # expansion and inversion get one line each per width; the seeded key they time
-    # must not show up in those lines, in decimal or in hex
+    # expansion and inversion get one line each per width, and the set-up route, with its
+    # cache directory, one line first; the seeded key, tweak words, tweak key and unit key
+    # they time must not show up in those lines or in the cache path, in decimal or in hex
     assert run("bench", "--width", "32", "--seconds", "0.02", "--seed", "5") == EXIT_OK
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.startswith(("affine_expand", "invert_affine"))]
     setup = [line.split() for line in lines]
     assert [row[:2] for row in setup] == [["affine_expand", "32"], ["invert_affine", "32"]]
     assert all(float(row[2]) > 0 for row in setup)
-    _, z, _, u, _ = nsabc.bench._inputs(32, 0.02, 5)
+    route = out.splitlines()[0]
+    assert route == f"set-up route: {_native.route()}"
+    lines += [route, str(_native.cache_dir())]
+    rng, z, t, u, _ = nsabc.bench._inputs(32, 0.02, 5)
+    tweak_key = rng.randrange(1 << 128)
     schedule = affine_expand(z, u, 32)
-    for word in (*z, u, *schedule.m, *schedule.n, *invert_affine(schedule).m, *invert_affine(schedule).n):
+    for word in (*z, *t, u, tweak_key, *int_to_block(tweak_key, 32), *schedule.m, *schedule.n,
+                 *invert_affine(schedule).m, *invert_affine(schedule).n):
         for digits in (str(word), f"{word:x}", f"{word:X}"):
             assert not any(digits in line for line in lines)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lift, random_tuple, random_words
+from conftest import edge_key_material, lift, random_tuple, random_words
 from nsabc import _kernels
 from nsabc._kernels import (
     _gbox_into,
@@ -22,7 +22,9 @@ from nsabc._kernels import (
     affine_igbox,
     crypt_batch,
     crypt_tile,
+    crypt_words,
     icrypt_tile,
+    icrypt_words,
     resolve_backend,
     tile_blocks,
 )
@@ -35,6 +37,8 @@ from nsabc.fastpath import (
     icrypt_fast,
     icrypt_fast_batch,
     invert_affine,
+    numpy_affine_expand,
+    numpy_invert_affine,
 )
 from nsabc.kat import standard_trace, trace_matches_reference
 from nsabc.schedules import key_expand, tweak_expand, unit_expand
@@ -50,12 +54,6 @@ X16 = (0xCDEF, 0x89AB, 0x4567, 0x0123)
 def shift_and_mask(w):
     """``affine_gbox``'s last two arguments: the half-word shift and the w-bit mask."""
     return w >> 1, (1 << w) - 1
-
-
-def edge_key_material(w):
-    """All-zero and all-ones key and unit words, where 2(K-L)+1 and (2L-1)(K-L) wrap."""
-    top = (1 << w) - 1
-    return [(z, u) for z in ((0,) * 5, (top,) * 5) for u in (0, top)]
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +126,10 @@ def test_affine_expand_matches_the_word_formula(w, rng):
         s = affine_expand(z, u, w)
         assert s == ref and hash(s) == hash(ref)
         assert all(type(v) is int for v in (*s.m, *s.n))
+        # the numpy derivations, the fallback and cross-check of the compiled set-up, agree,
+        # and inverting twice gives the schedule back
+        assert numpy_affine_expand(z, u, w) == s and numpy_invert_affine(s) == invert_affine(s)
+        assert invert_affine(invert_affine(s)) == s
         for sched in (s, ref, invert_affine(s)):
             for a in sched.arrays:
                 assert a.dtype == word_dtype(w) and not a.flags.writeable
@@ -811,17 +813,21 @@ def test_batch_never_writes_caller_arrays(w, rng):
 @pytest.mark.parametrize("tiles, extra", [(0, 1), (0, 255), (0, 256), (0, 257), (1, 3), (2, 3), (3, 3)])
 def test_out_equals_the_allocating_call(w, tiles, extra, rng, monkeypatch):
     # encrypt_blocks / decrypt_blocks written into the blocks themselves give the bits
-    # of the allocating call; from 2 tiles on, the workers write in place on threads,
-    # each tile copied into its registers first
+    # of the allocating call, and both the int loop's (a one-block call runs on two
+    # lanes); from 2 tiles on, the workers write in place on threads, each tile copied
+    # into its registers first
     monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
     _, z, _, u = random_tuple(rng, w)
     t0 = rng.randrange(1 << (4 * w))
     xs = random_block_array(rng, tiles * tile_blocks(w) + extra, w)
-    for fn in (encrypt_blocks, decrypt_blocks):
+    s = affine_expand(z, u, w)
+    for fn, words, sched in ((encrypt_blocks, crypt_words, s), (decrypt_blocks, icrypt_words, invert_affine(s))):
         expected = fn(xs, z, t0, u, w, first_index=7)
         inplace = xs.copy()
         assert fn(inplace, z, t0, u, w, first_index=7, out=inplace) is inplace
         assert np.array_equal(inplace, expected)
+        for i in tile_edge_rows(rng, len(xs), w):
+            assert words(tuple(xs[i].tolist()), tweak_at(t0, 7 + i, w), sched) == tuple(expected[i].tolist()), i
 
 
 def test_out_must_be_the_blocks(rng):

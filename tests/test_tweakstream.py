@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tuple, random_words, tile_tweak_rows, tweak_progression
-from nsabc._kernels import SEED_BLOCKS, tile_blocks, tile_tweaks
+from nsabc._kernels import SEED_BLOCKS, numpy_tile_tweaks, tile_blocks, tile_tweaks
 from nsabc.cipher import block_to_int, decrypt, encrypt, int_to_block, word_dtype
 from nsabc.container import decrypt_bytes, encrypt_bytes
 from nsabc.tweakstream import decrypt_blocks, encrypt_blocks, tweak_at
@@ -108,8 +108,8 @@ def test_advanced_tiles_equal_the_closed_form(w, rng):
 @pytest.mark.threads
 @pytest.mark.parametrize("w", [16, 32, 64])
 def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
-    # ``tile_tweaks`` keeps no state: columns that hold tile p, advanced in place
-    # to any later tile k, equal tile k seeded afresh and the tweaks of its ends.  The
+    # ``tile_tweaks`` and ``numpy_tile_tweaks`` keep no state: columns that hold tile p,
+    # advanced in place to any later tile k, equal tile k seeded afresh and the tweaks of its ends.  The
     # pairs include tiles that are not adjacent (a worker's tiles, when another took
     # the ones between) and the short last tile advanced from a full one.  Scratch rows
     # all ones show that no carry is read before it is written
@@ -118,7 +118,9 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
     count = 3 * length + 77
     spans = [(start, min(start + length, count)) for start in range(0, count, length)]
     dtype = word_dtype(w)
-    for t0, first in ((top - 1, top - 5), (rng.randrange(top), rng.randrange(top))):
+    # the route in use, and the numpy tiles, which advance from prev, as the fallback and cross-check
+    for tweaks, (t0, first) in itertools.product((tile_tweaks, numpy_tile_tweaks),
+                                                 ((top - 1, top - 5), (rng.randrange(top), rng.randrange(top)))):
         base, step = tweak_progression(t0, first, w)
 
         def ends_match(columns, start, stop):
@@ -128,7 +130,7 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
         fresh = []
         for start, stop in spans:
             space = np.full((6, stop - start), np.iinfo(dtype).max, dtype)
-            tile_tweaks(space[2:], space[:2], base, step, start, None)
+            tweaks(space[2:], space[:2], base, step, start, None)
             assert ends_match(space[2:], start, stop), start
             fresh.append(space[2:])
         for p, k in itertools.combinations(range(len(spans)), 2):
@@ -136,10 +138,10 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
             space = np.full((6, length), np.iinfo(dtype).max, dtype)
             space[2:] = fresh[p]
             columns = space[2:, :stop - start]
-            tile_tweaks(columns, space[:2, :stop - start], base, step, start, prev)
+            tweaks(columns, space[:2, :stop - start], base, step, start, prev)
             assert np.array_equal(columns, fresh[k]) and ends_match(columns, start, stop), (p, k)
 
-        # ``tile_tweaks`` on two threads at once, each seeding its first tile and
+        # the tiles made on two threads at once, each seeding its first tile and
         # advancing it through every other tile in its own columns, as two workers do
         got = [None] * len(spans)
         barrier = threading.Barrier(2, timeout=60)
@@ -149,7 +151,7 @@ def test_tiles_advanced_from_any_earlier_tile_equal_fresh_tiles(w, rng):
             barrier.wait()
             for k in ks:
                 start, stop = spans[k]
-                tile_tweaks(space[2:, :stop - start], space[:2, :stop - start], base, step, start, prev)
+                tweaks(space[2:, :stop - start], space[:2, :stop - start], base, step, start, prev)
                 got[k] = space[2:, :stop - start].copy()
                 prev = start
 
