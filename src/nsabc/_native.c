@@ -7,8 +7,9 @@
  *                            5 key words and the unit key U packed as 6 words, with
  *                            K[k] = Z[(k + 3) mod 5] and L[k] = U + k(2U + 1).
  *   nsabc_invertW(out, m, n) the inverse schedule: entry k inverts entry 63 - k, m' = m^-1 by
- *                            the Newton step of ``words.mod_inverse`` from (3m) ^ 2, and
- *                            n' = -n m'.
+ *                            the Newton step of ``words.mod_inverse`` from (3m) ^ 2, exact
+ *                            to 5 bits, each step doubling the exact bits until they reach
+ *                            w, and n' = -n m'.
  *   nsabc_tweaksW(t, stride, count, first, step)
  *                            the tweak words of count blocks, block i having the tweak
  *                            first + i step mod 2^(4w), into 4 columns of t stride words
@@ -18,8 +19,9 @@
  *
  * Products are computed in A: unsigned, at least as wide as T, and of int's rank or
  * above, so that no operand is promoted to signed int.  uint16_t would be, and
- * 0xFFFF * 0xFFFF overflows a 32-bit int.  A wraps at a multiple of w bits, and each
- * result is cut to T, so every reduction mod 2^w is exact.  Input buffers of packed
+ * 0xFFFF * 0xFFFF overflows a 32-bit int; the tests build this source with
+ * -fsanitize=undefined and run the check on it.  A wraps at a multiple of w bits, and
+ * each result is cut to T, so every reduction mod 2^w is exact.  Input buffers of packed
  * words are copied with memcpy: they need not be aligned. */
 
 #include <stddef.h>
@@ -28,7 +30,7 @@
 
 #define ROW 1024
 
-#define SETUP(W, T, A, NEWTON_STEPS)                                                             \
+#define SETUP(W, T, A)                                                                           \
     void nsabc_expand##W(T *mn, const unsigned char *key)                                        \
     {                                                                                            \
         T z[6];                                                                                  \
@@ -48,7 +50,7 @@
         memcpy(n, n_words, sizeof n);                                                            \
         for (int k = 0; k < 64; k++) {                                                           \
             A x = m[63 - k], y = (3 * x) ^ 2;                                                    \
-            for (int i = 0; i < NEWTON_STEPS; i++)                                               \
+            for (int bits = 5; bits < W; bits *= 2)                                              \
                 y *= 2 - x * y;                                                                  \
             out[k] = (T)y;                                                                       \
             out[64 + k] = (T)(0 - n[63 - k] * y);                                                \
@@ -109,6 +111,6 @@
         }                                                                                        \
     }
 
-SETUP(16, uint16_t, unsigned int, 2)
-SETUP(32, uint32_t, unsigned long, 3)
-SETUP(64, uint64_t, unsigned long long, 4)
+SETUP(16, uint16_t, unsigned int)
+SETUP(32, uint32_t, unsigned long)
+SETUP(64, uint64_t, unsigned long long)

@@ -55,8 +55,10 @@ _route = None  # (Native, cache directory) or (None, reason): set once, by the f
 
 
 def cache_dir() -> Path:
-    """The per-user directory of built libraries: ``nsabc`` in ``$XDG_CACHE_HOME`` or ``~/.cache``."""
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "nsabc"
+    """The per-user directory of built libraries: ``nsabc`` in ``$XDG_CACHE_HOME``, or in
+    ``~/.cache`` where that is unset, empty or relative, as the XDG Base Directory spec asks."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "nsabc"
 
 
 class Native:

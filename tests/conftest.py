@@ -13,6 +13,10 @@ from nsabc.words import odot
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+#: ``_native.cache_dir`` itself, which ``native_cache`` replaces for the session
+real_cache_dir = _native.cache_dir
+
+
 @pytest.fixture(scope="session", autouse=True)
 def native_cache(tmp_path_factory):
     """The compiled set-up built into a temporary directory, for the whole session, and loaded

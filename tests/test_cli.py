@@ -276,6 +276,16 @@ def test_io_errors(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"cannot write {out}: Permission denied" in err and ".nsabc-" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
+    monkeypatch.undo()
+    # an existing directory as --out, and a path through a regular file, fail before any
+    # temporary file is made, and name the path and the system's reason
+    (tmp_path / "d").mkdir()
+    for out, reason in ((tmp_path / "d", "[Errno 21] Is a directory"), (src / "x", "[Errno 20] Not a directory")):
+        assert run("encrypt", "--width", "16", *key_args(), "--in", str(src), "--out", str(out)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: {reason}" in err and ".nsabc-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "p"] and list((tmp_path / "d").iterdir()) == []
+    assert src.read_bytes() == b"x"
 
 
 def test_kat_verifies(capsys):

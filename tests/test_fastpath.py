@@ -3,6 +3,7 @@
 import ast
 import enum
 import importlib
+import os
 import random
 import re
 import sys
@@ -229,10 +230,11 @@ def test_schedule_operands_are_made_once(monkeypatch, rng):
         assert np.array_equal(out, crypt_fast_batch(xs, t, s))
     assert len(seen) == 6 and all(schedule is s for schedule in seen)
     assert np.array_equal(icrypt_fast_batch(out, t, inv), xs)
-    # on one worker: 12 encrypting tiles, then 3 decrypting ones, each G of rounds 0..31
-    assert len(operands) == 15 * 32
+    # on one worker: 8 encrypting numpy tiles, then 2 decrypting ones, each G of rounds
+    # 0..31; the last tile of each call, of one block, runs on ints and makes no operand
+    assert len(operands) == 10 * 32
     for i, words_of_g in enumerate(operands):
-        sched, k = (s if i < 12 * 32 else inv), i % 32
+        sched, k = (s if i < 8 * 32 else inv), i % 32
         m, n = sched.arrays
         assert [int(v) for v in words_of_g] == [sched.m[2 * k], sched.m[2 * k + 1], sched.n[2 * k], sched.n[2 * k + 1]]
         for v, a in zip(words_of_g, (m, m, n, n)):
@@ -679,6 +681,15 @@ def test_one_tile_call_starts_no_thread(rng, monkeypatch, started):
     assert started == []
 
 
+def test_usable_cpus_without_sched_getaffinity(monkeypatch):
+    # where the platform has no CPU affinity, the CPUs the system reports, and 1 if it reports none
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _kernels.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _kernels.usable_cpus() == 1
+
+
 @pytest.mark.threads
 def test_threads_under_stress(rng, monkeypatch):
     # more workers than cores, switching threads every microsecond: a tile lost,
@@ -813,8 +824,8 @@ def test_batch_never_writes_caller_arrays(w, rng):
 @pytest.mark.parametrize("tiles, extra", [(0, 1), (0, 255), (0, 256), (0, 257), (1, 3), (2, 3), (3, 3)])
 def test_out_equals_the_allocating_call(w, tiles, extra, rng, monkeypatch):
     # encrypt_blocks / decrypt_blocks written into the blocks themselves give the bits
-    # of the allocating call, and both the int loop's (a one-block call runs on two
-    # lanes); from 2 tiles on, the workers write in place on threads, each tile copied
+    # of the allocating call, and both the int loop's (a one-block call runs on that
+    # loop itself); from 2 tiles on, the workers write in place on threads, each tile copied
     # into its registers first
     monkeypatch.setattr(_kernels, "usable_cpus", lambda: 2)
     _, z, _, u = random_tuple(rng, w)

@@ -2,6 +2,7 @@
 and bit-equal to the numpy set-up it falls back to."""
 
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_tuple
+from conftest import random_tuple, real_cache_dir
 from nsabc import _kernels, _native
 from nsabc._kernels import crypt_batch, numpy_tile_tweaks, tile_blocks, tile_tweaks
 from nsabc.cipher import int_to_block, word_dtype
@@ -168,6 +169,103 @@ def test_a_failed_check_falls_back(rng, monkeypatch, fresh):
     assert _native.route() == "numpy, check failed: w=16 schedules differ from numpy"
     _, z, _, u = random_tuple(rng, 16)
     assert affine_expand(z, u, 16) == numpy_affine_expand(z, u, 16)
+
+
+@pytest.mark.parametrize("routine, what", [("invert", "inverse schedules"), ("tweaks", "tweak columns")],
+                         ids=["invert", "tweaks"])
+def test_a_failed_check_names_what_differed(routine, what, monkeypatch, fresh):
+    # the check compares the inverse schedules and the tweak columns too, and names which differed
+    real = getattr(_native.Native, routine)
+
+    def wrong(self, *args):
+        got = real(self, *args)
+        if routine == "tweaks":
+            args[0][0, -1] ^= 1
+            return got
+        m, n = got
+        return m, n ^ 1
+
+    monkeypatch.setattr(_native.Native, routine, wrong)
+    assert _native.library() is None
+    assert _native.route() == f"numpy, check failed: w=16 {what} differ from numpy"
+
+
+@pytest.mark.parametrize("named", [None, ""], ids=["none", "empty"])
+def test_no_compiler_named_falls_back(named, monkeypatch, fresh):
+    compiler(monkeypatch, named)
+    assert _native.library() is None
+    assert _native.route() == "numpy, sysconfig names no C compiler"
+    assert not fresh.exists()
+
+
+def test_a_compile_that_times_out_falls_back(monkeypatch, fresh):
+    # a compiler that hangs is given up after its timeout, and leaves no temporary file
+    def hang(args, **kwargs):
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert _native.library() is None
+    assert _native.route() == "numpy, compile timed out after 300 s"
+    assert list(fresh.iterdir()) == []
+
+
+def test_invert_refuses_what_is_not_a_schedule_of_the_word_dtype(rng):
+    # the compiled inversion reads 64 words of each array as packed words of the width:
+    # another dtype or size raises before any buffer is handed on
+    native = _native.library()
+    assert native is not None
+    _, z, _, u = random_tuple(rng, 32)
+    m, n = affine_expand(z, u, 32).arrays
+    for bad_m, bad_n in ((m.astype(np.uint64), n.astype(np.uint64)), (m, n.astype(np.int32)),
+                         (m[:63], n[:63]), (m, np.concatenate([n, n[:1]]))):
+        with pytest.raises(ValueError):
+            native.invert(bad_m, bad_n, 32)
+    with pytest.raises(ValueError):
+        native.invert(m, n, 64)
+
+
+def test_cache_dir_ignores_an_unset_empty_or_relative_xdg_cache_home(monkeypatch, tmp_path):
+    # as the XDG Base Directory spec asks: a relative XDG_CACHE_HOME would put the library
+    # under whatever directory the process runs in
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    default = tmp_path / "home" / ".cache" / "nsabc"
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    assert real_cache_dir() == default
+    for value in ("", "relcache", "./relcache"):
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        assert real_cache_dir() == default
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert real_cache_dir() == tmp_path / "xdg" / "nsabc"
+    # loaded through it, the library goes under the home directory, and nothing under the working one
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.setattr(_native, "cache_dir", real_cache_dir)
+    monkeypatch.setattr(_native, "_route", None)
+    if sysconfig.get_config_var("CC"):
+        assert _native.route() == f"compiled, cached in {default}"
+    else:
+        assert _native.route() == "numpy, sysconfig names no C compiler"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["home"]
+
+
+def test_the_source_has_no_undefined_behaviour_under_the_sanitizer(tmp_path):
+    # built with every warning an error and -fsanitize=undefined, aborting on the first
+    # undefined operation, the library passes the loader's check in a child interpreter;
+    # a product of two uint16_t words, promoted to signed int, would overflow it
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        assert _native.route() == "numpy, sysconfig names no C compiler"
+        return
+    path = tmp_path / "ubsan.so"
+    flags = [*_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    build = subprocess.run([*shlex.split(cc), *flags, "-o", str(path), str(_native.SOURCE)],
+                           capture_output=True, text=True, timeout=300)
+    assert build.returncode == 0, build.stderr
+    code = ("import ctypes, sys; from nsabc import _native; "
+            f"sys.exit(_native._mismatch(_native.Native(ctypes.CDLL({str(path)!r}))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_build_is_cached_and_a_cache_hit_starts_no_process(monkeypatch, fresh):

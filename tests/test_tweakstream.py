@@ -243,6 +243,26 @@ def test_single_block_matches_reference(rng):
             assert decrypt_blocks(list(ct[0]), z, t0, u, w, tweaking=tweaking) == [x]
 
 
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_one_block_tiles_match_reference(w, rng):
+    # a tile of one block runs on ints: one-block calls at first indices on both sides of
+    # the wrap of 2**(4w), and the lone last block of an L+1-block call (L the blocks of a
+    # tile), whose index wraps to 0, equal the reference encrypt / decrypt under tweak_at
+    top, length = 1 << (4 * w), tile_blocks(w)
+    _, z, _, u = random_tuple(rng, w)
+    t0 = rng.randrange(top)
+    for first in (top - 2, top - 1, 0, 1, rng.randrange(top)):
+        x = random_words(rng, 4, w)
+        (y,) = encrypt_blocks([x], z, t0, u, w, first_index=first)
+        assert y == encrypt(x, z, tweak_at(t0, first, w), u, w)
+        assert decrypt_blocks([y], z, t0, u, w, first_index=first) == [decrypt(y, z, tweak_at(t0, first, w), u, w)] == [x]
+    xs = np.random.default_rng(w).integers(0, 1 << w, (length + 1, 4), np.uint64).astype(word_dtype(w))
+    tweak = tweak_at(t0, 0, w)  # block top - length + length wraps to 0
+    for fn, reference in ((encrypt_blocks, encrypt), (decrypt_blocks, decrypt)):
+        out = fn(xs, z, t0, u, w, first_index=top - length)
+        assert tuple(out[-1].tolist()) == reference(tuple(xs[-1].tolist()), z, tweak, u, w)
+
+
 def test_roundtrip_and_per_block_tweaks(rng):
     w = 32
     _, z, _, u = random_tuple(rng, w)
